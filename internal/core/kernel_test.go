@@ -26,7 +26,8 @@ func checkKernelsAgainstReference(t *testing.T, r *rand.Rand, m *Map, trials int
 		}
 	}
 
-	// Scalar paths: UpperBound, UpperBoundPair, BoundAtLeast.
+	// Scalar paths: UpperBound, UpperBoundPair, BoundAtLeast (whose
+	// pairs run the pair kernel the Apriori/DHP pass-2 path uses).
 	for trial := 0; trial < trials; trial++ {
 		x := randomNonEmptyItemset(r, k)
 		ref := m.referenceUpperBound(x)
@@ -43,18 +44,13 @@ func checkKernelsAgainstReference(t *testing.T, r *rand.Rand, m *Map, trials int
 			if got, want := m.BoundAtLeast(x, minsup), ref >= minsup; got != want {
 				t.Fatalf("BoundAtLeast(%v, %d) = %v, reference bound %d", x, minsup, got, ref)
 			}
-			if len(x) == 2 {
-				if got, want := m.BoundPairAtLeast(x[0], x[1], minsup), ref >= minsup; got != want {
-					t.Fatalf("BoundPairAtLeast(%v, %d) = %v, reference bound %d", x, minsup, got, ref)
-				}
-			}
 		}
 	}
 
 	// Batch paths: one generation of random candidates per threshold.
-	// Even trials force a uniform itemset length (up to 5, so the k-item
-	// flat and deep lanes are exercised past the pair/triple unrolls),
-	// odd trials mix lengths for the generic lane.
+	// Even trials force a uniform itemset length (up to 5, so the
+	// general-k kernel is exercised past the pair/triple kernels), odd
+	// trials mix lengths.
 	for trial := 0; trial < trials; trial++ {
 		n := 1 + r.Intn(40)
 		cands := make([]dataset.Itemset, n)
@@ -75,7 +71,6 @@ func checkKernelsAgainstReference(t *testing.T, r *rand.Rand, m *Map, trials int
 		if st.EarlyExit+st.Abandoned > int64(n) {
 			t.Fatalf("BoundBatch shortcut counts %+v exceed %d candidates", st, n)
 		}
-		checkLaneAccounting(t, st, int64(n), "BoundBatch")
 		bounds := m.UpperBoundBatch(cands, nil)
 		for i, x := range cands {
 			ref := m.referenceUpperBound(x)
@@ -101,7 +96,6 @@ func checkKernelsAgainstReference(t *testing.T, r *rand.Rand, m *Map, trials int
 		if st.EarlyExit+st.Abandoned > int64(numPairs) {
 			t.Fatalf("BoundPairsAmong shortcut counts %+v exceed %d pairs", st, numPairs)
 		}
-		checkLaneAccounting(t, st, int64(numPairs), "BoundPairsAmong")
 		for i := 0; i < k; i++ {
 			for j := i + 1; j < k; j++ {
 				ref := m.referenceUpperBound(dataset.Itemset{items[i], items[j]})
@@ -130,7 +124,9 @@ func checkKernelsAgainstReference(t *testing.T, r *rand.Rand, m *Map, trials int
 		minsup := 1 + r.Int63n(maxT+1)
 		extDec := make([]bool, len(exts))
 		extSt := m.BoundExtensions(prefix, exts, minsup, extDec)
-		checkLaneAccounting(t, extSt, int64(len(exts)), "BoundExtensions")
+		if extSt.EarlyExit+extSt.Abandoned > int64(len(exts)) {
+			t.Fatalf("BoundExtensions shortcut counts %+v exceed %d extensions", extSt, len(exts))
+		}
 		for e, it := range exts {
 			cand := dataset.NewItemset(append(append([]dataset.Item{}, prefix...), it)...)
 			ref := m.referenceUpperBound(cand)
@@ -150,25 +146,6 @@ func randomItemsetOfLen(r *rand.Rand, k, want int) dataset.Itemset {
 		items[i] = dataset.Item(p)
 	}
 	return dataset.NewItemset(items...)
-}
-
-// checkLaneAccounting verifies the per-lane breakdown of a batch call:
-// every candidate was decided by exactly one lane, and the per-lane
-// shortcut counts sum to the top-level counters.
-func checkLaneAccounting(t *testing.T, st BatchStats, decided int64, ctx string) {
-	t.Helper()
-	var d, ee, ab int64
-	for _, ls := range st.Lanes {
-		d += ls.Decided
-		ee += ls.EarlyExit
-		ab += ls.Abandoned
-	}
-	if d != decided {
-		t.Fatalf("%s: lanes decided %d of %d candidates", ctx, d, decided)
-	}
-	if ee != st.EarlyExit || ab != st.Abandoned {
-		t.Fatalf("%s: lane shortcut sums (%d, %d) disagree with totals (%d, %d)", ctx, ee, ab, st.EarlyExit, st.Abandoned)
-	}
 }
 
 // TestKernelDifferentialAcrossSegmenters proves the equivalence
@@ -231,13 +208,13 @@ func TestKernelMultiBlockShortcuts(t *testing.T) {
 	}
 	hot := dataset.NewItemset(0, 1)
 	cold := dataset.NewItemset(2, 3)
-	// 64 segments is past the pair crossover and every cell fits the
-	// mirror, so single decisions ride the quantized deep lane.
-	if ok, out, lane := m.boundAtLeast(hot, 200); !ok || out != boundEarlyExit || lane != LaneFlat16 {
-		t.Errorf("hot pair: ok=%v outcome=%d lane=%v, want flat16-lane early exit", ok, out, lane)
+	// 64 segments is past the pair crossover, so the pair kernel checks
+	// the abandon remainder every abandonStride segments.
+	if ok, out := m.boundAtLeast(hot, 200); !ok || out != boundEarlyExit {
+		t.Errorf("hot pair: ok=%v outcome=%d, want early exit", ok, out)
 	}
-	if ok, out, lane := m.boundAtLeast(cold, 1); ok || out != boundAbandoned || lane != LaneFlat16 {
-		t.Errorf("cold pair: ok=%v outcome=%d lane=%v, want flat16-lane abandon", ok, out, lane)
+	if ok, out := m.boundAtLeast(cold, 1); ok || out != boundAbandoned {
+		t.Errorf("cold pair: ok=%v outcome=%d, want abandon", ok, out)
 	}
 	dec := make([]bool, 2)
 	st := m.BoundBatch([]dataset.Itemset{hot, cold}, 200, dec)
@@ -247,4 +224,144 @@ func TestKernelMultiBlockShortcuts(t *testing.T) {
 	if st.EarlyExit != 1 || st.Abandoned != 1 {
 		t.Errorf("BoundBatch stats = %+v, want one early exit and one abandon", st)
 	}
+}
+
+// deepBoundaryMap builds an 80-segment, 8-item map of small random cells
+// with one cell pinned at boundary — deep enough that pair, triple and
+// k-item kernels all run past the small crossover.
+func deepBoundaryMap(t *testing.T, r *rand.Rand, boundary uint32) *Map {
+	t.Helper()
+	const segs, k = 80, 8
+	rows := make([][]uint32, segs)
+	for s := range rows {
+		rows[s] = make([]uint32, k)
+		for i := range rows[s] {
+			rows[s][i] = uint32(r.Intn(120))
+		}
+	}
+	rows[segs/2][k/2] = boundary
+	m, err := NewMap(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestKernelQuantizedOverflowBoundary pins exactness on both sides of the
+// 16-bit cell boundary, where a narrower (quantized) cell type would
+// overflow: with one cell at 65535 or 65536 every kernel decision stays
+// bit-identical to the reference bound.
+func TestKernelQuantizedOverflowBoundary(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cell uint32
+	}{
+		{"fits-65535", 65535},
+		{"overflows-65536", 65536},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := rand.New(rand.NewSource(41))
+			checkKernelsAgainstReference(t, r, deepBoundaryMap(t, r, tc.cell), 10)
+		})
+	}
+}
+
+// TestKernelOverflowAcrossSegmenters reruns the five-segmenter
+// differential on maps whose merged segments straddle the 16-bit
+// boundary: one fixture with page cells ≥ 32768 (any two-page merge
+// exceeds 65535) next to a small-cell control. No segmenter can produce a
+// row layout where large cells disagree with the reference bound.
+func TestKernelOverflowAcrossSegmenters(t *testing.T) {
+	algs := []Algorithm{AlgRandom, AlgRC, AlgGreedy, AlgRandomRC, AlgRandomGreedy}
+	for _, alg := range algs {
+		t.Run(alg.String(), func(t *testing.T) {
+			r := rand.New(rand.NewSource(int64(alg) + 101))
+			const pages, k = 24, 6
+			for rep, lo := range []uint32{0, 40000} {
+				span := 100
+				if lo > 0 {
+					span = 20000
+				}
+				rows := make([][]uint32, pages)
+				for p := range rows {
+					rows[p] = make([]uint32, k)
+					for i := range rows[p] {
+						rows[p][i] = lo + uint32(r.Intn(span))
+					}
+				}
+				res, err := Segment(rows, Options{
+					Algorithm:      alg,
+					TargetSegments: 4 + r.Intn(4),
+					MidSegments:    pages,
+					Seed:           r.Int63(),
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				m := res.Map
+				overflow := false
+				for s := 0; s < m.NumSegments(); s++ {
+					for _, c := range m.SegmentRow(s) {
+						if c > 0xFFFF {
+							overflow = true
+						}
+					}
+				}
+				if wantOverflow := rep == 1; overflow != wantOverflow {
+					t.Fatalf("rep %d: cell overflow = %v, fixture expects %v", rep, overflow, wantOverflow)
+				}
+				checkKernelsAgainstReference(t, r, m, 6)
+			}
+		})
+	}
+}
+
+// TestAppenderLargeCountCrossing drives the online path across the
+// 16-bit boundary: with a one-segment budget every compaction merges all
+// history into a single row, so past 65535 transactions one cell holds a
+// count no 16-bit cell could. Answers must stay exact on both sides, and
+// the earlier snapshot — an independent immutable map — must keep its
+// own counts.
+func TestAppenderLargeCountCrossing(t *testing.T) {
+	a, err := NewAppender(3, AppenderOptions{PageSize: 1000, MaxSegments: 1, Algorithm: AlgGreedy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := dataset.NewItemset(0, 1)
+	addN := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if err := a.Add(tx); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	snap := func() *Map {
+		t.Helper()
+		m, err := a.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	check := func(m *Map, total int64, ctx string) {
+		t.Helper()
+		if got := m.UpperBound(tx); got != total {
+			t.Fatalf("%s: UpperBound(%v) = %d, want %d", ctx, tx, got, total)
+		}
+		if !m.BoundAtLeast(tx, total) || m.BoundAtLeast(tx, total+1) {
+			t.Fatalf("%s: BoundAtLeast disagrees with the exact pair support %d", ctx, total)
+		}
+	}
+
+	addN(60000)
+	before := snap()
+	check(before, 60000, "before crossing")
+
+	addN(10000)
+	check(snap(), 70000, "after crossing")
+
+	// Snapshots are independent immutable maps: the pre-crossing one
+	// keeps serving its own counts.
+	check(before, 60000, "earlier snapshot after later appends")
 }

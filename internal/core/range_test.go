@@ -153,9 +153,10 @@ func TestSegmentRangeErrors(t *testing.T) {
 	}
 }
 
-// TestBatchCrossoverDispatch pins the size-dispatched front-end on both
-// sides of the crossover: decisions and exact bounds stay bit-identical
-// to the reference, and the small lane still reports shortcut outcomes.
+// TestBatchCrossoverDispatch pins the kernels on both sides of the
+// small crossover: decisions and exact bounds stay bit-identical to the
+// reference, and per-segment abandon checks still report shortcut
+// outcomes.
 func TestBatchCrossoverDispatch(t *testing.T) {
 	r := rand.New(rand.NewSource(65))
 	crossover := smallCrossoverSegs(2)
@@ -163,7 +164,7 @@ func TestBatchCrossoverDispatch(t *testing.T) {
 		m := randMapFor(t, r, segs, 16)
 		checkKernelsAgainstReference(t, r, m, 10)
 
-		// A discriminative threshold so the small lane actually takes
+		// A discriminative threshold so the kernels actually take
 		// shortcuts on a multi-segment map.
 		cands := make([]dataset.Itemset, 256)
 		for i := range cands {

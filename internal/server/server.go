@@ -156,40 +156,6 @@ type Server struct {
 	// folded from the same reports.
 	mineEarlyExit telemetry.Counter
 	mineAbandoned telemetry.Counter
-	// Per-dispatch-lane decision totals folded from the same reports,
-	// keyed by the core lane name (small, flat32, flat16, scalar).
-	mineLaneMu sync.Mutex
-	mineLanes  map[string]*telemetry.Counter
-}
-
-// mineLane returns the cumulative decision counter of the named kernel
-// dispatch lane, creating it on first use.
-func (s *Server) mineLane(name string) *telemetry.Counter {
-	s.mineLaneMu.Lock()
-	defer s.mineLaneMu.Unlock()
-	if s.mineLanes == nil {
-		s.mineLanes = make(map[string]*telemetry.Counter)
-	}
-	c := s.mineLanes[name]
-	if c == nil {
-		c = new(telemetry.Counter)
-		s.mineLanes[name] = c
-	}
-	return c
-}
-
-// mineLaneTotals snapshots the per-lane decision totals.
-func (s *Server) mineLaneTotals() map[string]int64 {
-	s.mineLaneMu.Lock()
-	defer s.mineLaneMu.Unlock()
-	if len(s.mineLanes) == 0 {
-		return nil
-	}
-	out := make(map[string]int64, len(s.mineLanes))
-	for name, c := range s.mineLanes {
-		out[name] = c.Load()
-	}
-	return out
 }
 
 // New returns a Server over an empty registry.
@@ -386,9 +352,6 @@ type BoundResult struct {
 	Cached  bool         `json:"cached"`
 }
 
-// errBadItemset marks client-side itemset validation failures.
-var errBadItemset = errors.New("bad itemset")
-
 // Bound answers one ubsup query against the named index, through the
 // cache unless noCache is set. Items are canonicalized (sorted,
 // de-duplicated) before lookup so permutations share a cache line.
@@ -407,11 +370,8 @@ func (s *Server) Bound(name string, items []ossm.Item, noCache bool) (BoundResul
 
 func (s *Server) bound(ctx context.Context, ix *ossm.Index, fleet *shard.Fleet, name string, version uint64, items []ossm.Item, noCache bool) (BoundResult, error) {
 	set := ossm.NewItemset(items...)
-	if len(set) == 0 {
-		return BoundResult{}, fmt.Errorf("%w: the empty itemset has no OSSM bound", errBadItemset)
-	}
-	if max := set[len(set)-1]; int(max) >= ix.NumItems() {
-		return BoundResult{}, fmt.Errorf("%w: item %d outside the index domain of %d items", errBadItemset, max, ix.NumItems())
+	if err := shard.CheckItemset(set, ix.NumItems()); err != nil {
+		return BoundResult{}, err
 	}
 	s.queries.Inc()
 	var key []byte
@@ -473,11 +433,8 @@ func (s *Server) boundBatch(ctx context.Context, ix *ossm.Index, fleet *shard.Fl
 	sets := make([]ossm.Itemset, len(batch))
 	for i, items := range batch {
 		set := ossm.NewItemset(items...)
-		if len(set) == 0 {
-			return nil, fmt.Errorf("%w: the empty itemset has no OSSM bound", errBadItemset)
-		}
-		if max := set[len(set)-1]; int(max) >= ix.NumItems() {
-			return nil, fmt.Errorf("%w: item %d outside the index domain of %d items", errBadItemset, max, ix.NumItems())
+		if err := shard.CheckItemset(set, ix.NumItems()); err != nil {
+			return nil, err
 		}
 		sets[i] = set
 	}
@@ -667,7 +624,7 @@ func (s *Server) handleUbsup(w http.ResponseWriter, r *http.Request) {
 	results, err := s.boundBatch(r.Context(), ix, fleet, req.Index, version, batch, req.NoCache)
 	if err != nil {
 		switch {
-		case errors.Is(err, errBadItemset):
+		case errors.Is(err, shard.ErrBadItemset):
 			s.writeErr(w, http.StatusBadRequest, "%v", err)
 		case errors.Is(err, shard.ErrOverloaded) || errors.Is(err, shard.ErrUnavailable):
 			s.writeErr(w, http.StatusServiceUnavailable, "%v", err)
@@ -897,11 +854,10 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 		s.obs.mineCand.With("counted").Add(rep.Counted)
 		s.mineEarlyExit.Add(rep.KernelEarlyExit)
 		s.mineAbandoned.Add(rep.KernelAbandoned)
-		for _, l := range rep.KernelLanes {
-			s.mineLane(l.Lane).Add(l.Decided)
-			s.obs.mineKernel.With("early_exit", l.Lane).Add(l.EarlyExit)
-			s.obs.mineKernel.With("abandoned", l.Lane).Add(l.Abandoned)
-			s.obs.mineKernel.With("full", l.Lane).Add(l.Decided - l.EarlyExit - l.Abandoned)
+		if rep.KernelDecided > 0 {
+			s.obs.mineKernel.With("early_exit").Add(rep.KernelEarlyExit)
+			s.obs.mineKernel.With("abandoned").Add(rep.KernelAbandoned)
+			s.obs.mineKernel.With("full").Add(rep.KernelDecided - rep.KernelEarlyExit - rep.KernelAbandoned)
 		}
 	}
 	run.SetAttr("outcome", "ok")
@@ -1033,37 +989,32 @@ type Metrics struct {
 	MineCounted   int64         `json:"mine_counted"`
 	MineEarlyExit int64         `json:"mine_early_exit"`
 	MineAbandoned int64         `json:"mine_abandoned"`
-	// MineKernelLanes totals the bound-kernel decisions of completed
-	// runs by dispatch lane (small, flat32, flat16, scalar); absent
-	// until a pruned run completes.
-	MineKernelLanes map[string]int64 `json:"mine_kernel_lanes,omitempty"`
-	Workers         int              `json:"workers"`
-	MineSlots       int              `json:"mine_slots"`
-	Cache           CacheStats       `json:"cache"`
-	Indexes         []IndexInfo      `json:"indexes"`
+	Workers       int           `json:"workers"`
+	MineSlots     int           `json:"mine_slots"`
+	Cache         CacheStats    `json:"cache"`
+	Indexes       []IndexInfo   `json:"indexes"`
 }
 
 // MetricsSnapshot assembles the current metrics report.
 func (s *Server) MetricsSnapshot() Metrics {
 	return Metrics{
-		UptimeNS:        time.Since(s.start),
-		Requests:        s.requests.Load(),
-		Errors:          s.errs.Load(),
-		Timeouts:        s.timeouts.Load(),
-		BoundQueries:    s.queries.Load(),
-		QueryWallNS:     s.queryWall.Total(),
-		MineRuns:        s.mines.Load(),
-		MineWallNS:      s.mineWall.Total(),
-		MineGenerated:   s.mineGenerated.Load(),
-		MinePruned:      s.minePruned.Load(),
-		MineCounted:     s.mineCounted.Load(),
-		MineEarlyExit:   s.mineEarlyExit.Load(),
-		MineAbandoned:   s.mineAbandoned.Load(),
-		MineKernelLanes: s.mineLaneTotals(),
-		Workers:         s.workers,
-		MineSlots:       s.cfg.MineConcurrency,
-		Cache:           s.cache.stats(),
-		Indexes:         s.indexInfos(),
+		UptimeNS:      time.Since(s.start),
+		Requests:      s.requests.Load(),
+		Errors:        s.errs.Load(),
+		Timeouts:      s.timeouts.Load(),
+		BoundQueries:  s.queries.Load(),
+		QueryWallNS:   s.queryWall.Total(),
+		MineRuns:      s.mines.Load(),
+		MineWallNS:    s.mineWall.Total(),
+		MineGenerated: s.mineGenerated.Load(),
+		MinePruned:    s.minePruned.Load(),
+		MineCounted:   s.mineCounted.Load(),
+		MineEarlyExit: s.mineEarlyExit.Load(),
+		MineAbandoned: s.mineAbandoned.Load(),
+		Workers:       s.workers,
+		MineSlots:     s.cfg.MineConcurrency,
+		Cache:         s.cache.stats(),
+		Indexes:       s.indexInfos(),
 	}
 }
 

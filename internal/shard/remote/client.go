@@ -404,7 +404,10 @@ func (c *Client) call(ctx context.Context, method, path string, reqBody, respBod
 			return fmt.Errorf("remote: shard %d %s: %w", c.id, method, ctx.Err())
 		}
 		if att >= c.cfg.MaxRetries || !retryable(err) {
-			done(false)
+			// A 4xx means the shard answered and the request was wrong,
+			// so it counts as a healthy call: a bad request must never
+			// trip the breaker.
+			done(!retryable(err))
 			c.noteRPC(method, err)
 			return c.finalErr(method, att+1, err)
 		}

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	ossm "github.com/ossm-mining/ossm"
 	"github.com/ossm-mining/ossm/internal/obs"
 	"github.com/ossm-mining/ossm/internal/shard"
 )
@@ -52,6 +53,7 @@ type Worker struct {
 type workerEntry struct {
 	t             shard.Transport
 	totalSegments int
+	numItems      int
 }
 
 // NewWorker returns a worker with no entries.
@@ -68,8 +70,9 @@ func (w *Worker) SetObs(logger *slog.Logger, tracer *obs.Tracer) {
 
 // Add registers the transport serving the named index's shard.
 // totalSegments is the whole index's segment count (echoed in info so
-// coordinators can validate fleet tiling).
-func (w *Worker) Add(name string, t shard.Transport, totalSegments int) error {
+// coordinators can validate fleet tiling); numItems is the index's item
+// domain, against which every requested itemset is validated.
+func (w *Worker) Add(name string, t shard.Transport, totalSegments, numItems int) error {
 	if name == "" || t == nil {
 		return fmt.Errorf("remote: Worker.Add requires a name and a transport")
 	}
@@ -78,7 +81,7 @@ func (w *Worker) Add(name string, t shard.Transport, totalSegments int) error {
 	if _, dup := w.entries[name]; dup {
 		return fmt.Errorf("remote: shard entry %q already registered", name)
 	}
-	w.entries[name] = workerEntry{t: t, totalSegments: totalSegments}
+	w.entries[name] = workerEntry{t: t, totalSegments: totalSegments, numItems: numItems}
 	return nil
 }
 
@@ -209,9 +212,8 @@ func (w *Worker) handleBounds(rw http.ResponseWriter, r *http.Request) {
 	if !decodeWire(rw, r, &req) {
 		return
 	}
-	e, ok := w.lookup(req.Index)
+	e, ok := w.lookupSets(rw, req.Index, req.Sets)
 	if !ok {
-		writeWireErr(rw, http.StatusNotFound, "unknown shard entry %q", req.Index)
 		return
 	}
 	out := make([]int64, len(req.Sets))
@@ -254,9 +256,8 @@ func (w *Worker) handleSupports(rw http.ResponseWriter, r *http.Request) {
 	if !decodeWire(rw, r, &req) {
 		return
 	}
-	e, ok := w.lookup(req.Index)
+	e, ok := w.lookupSets(rw, req.Index, req.Sets)
 	if !ok {
-		writeWireErr(rw, http.StatusNotFound, "unknown shard entry %q", req.Index)
 		return
 	}
 	out := make([]int64, len(req.Sets))
@@ -270,6 +271,24 @@ func (w *Worker) handleSupports(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeWireJSON(rw, http.StatusOK, SupportsResponse{Supports: out})
+}
+
+// lookupSets resolves the named entry and validates every requested
+// itemset against its item domain, answering 404 or 400 itself on
+// failure.
+func (w *Worker) lookupSets(rw http.ResponseWriter, name string, sets []ossm.Itemset) (workerEntry, bool) {
+	e, ok := w.lookup(name)
+	if !ok {
+		writeWireErr(rw, http.StatusNotFound, "unknown shard entry %q", name)
+		return e, false
+	}
+	for i, set := range sets {
+		if err := shard.CheckItemset(set, e.numItems); err != nil {
+			writeWireErr(rw, http.StatusBadRequest, "itemset %d: %v", i, err)
+			return e, false
+		}
+	}
+	return e, true
 }
 
 // decodeWire strictly decodes one JSON body, reporting (and answering)

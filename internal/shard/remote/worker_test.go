@@ -1,0 +1,83 @@
+package remote
+
+import (
+	"context"
+	"encoding/json"
+	"errors"
+	"net/http"
+	"strings"
+	"testing"
+
+	ossm "github.com/ossm-mining/ossm"
+	"github.com/ossm-mining/ossm/internal/shard"
+)
+
+// badWireSets are itemsets no coordinator sends: empty, outside the
+// item domain, unsorted and duplicated.
+var badWireSets = []string{`[[]]`, `[[999999]]`, `[[5,3]]`, `[[3,3]]`}
+
+// TestWorkerRejectsBadItemsets pins the worker's wire boundary: the
+// bounds and supports RPCs answer every malformed itemset with a typed
+// 400 instead of panicking the handler or returning a silently wrong
+// number.
+func TestWorkerRejectsBadItemsets(t *testing.T) {
+	d, ix := fixture(t, 400, 8, ossm.RandomGreedy, 3)
+	rf := startRemoteFleet(t, "retail", ix, d, 1, fastRetry(nil, 0))
+	url := rf.servers[0].URL
+	for _, path := range []string{"/shard/v1/bounds", "/shard/v1/supports"} {
+		for _, sets := range badWireSets {
+			body := `{"index":"retail","itemsets":` + sets + `}`
+			resp, err := http.Post(url+path, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var eb errorBody
+			decErr := json.NewDecoder(resp.Body).Decode(&eb)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("%s %s: status %d, want 400", path, sets, resp.StatusCode)
+			}
+			if decErr != nil || !strings.Contains(eb.Error, shard.ErrBadItemset.Error()) {
+				t.Fatalf("%s %s: error body %+v (%v), want a %q error", path, sets, eb, decErr, shard.ErrBadItemset)
+			}
+		}
+	}
+	// A valid request still answers.
+	out := make([]int64, 1)
+	if err := rf.clients[0].PartialBounds(context.Background(), []ossm.Itemset{ossm.NewItemset(1, 2)}, out); err != nil {
+		t.Fatalf("valid PartialBounds after bad requests: %v", err)
+	}
+}
+
+// TestClientWorker400LeavesBreakerClosed sends more bad requests than
+// the breaker's failure threshold through a real worker: each fails
+// with a permanent (non-ErrUnavailable) error, and the breaker stays
+// closed because the shard answered — a bad request is not a sick
+// shard.
+func TestClientWorker400LeavesBreakerClosed(t *testing.T) {
+	d, ix := fixture(t, 400, 8, ossm.RandomGreedy, 3)
+	cfg := fastRetry(nil, 2)
+	cfg.Breaker = BreakerConfig{FailureThreshold: 2}
+	rf := startRemoteFleet(t, "retail", ix, d, 1, cfg)
+	c := rf.clients[0]
+	bad := []ossm.Itemset{{5, 3}}
+	out := make([]int64, 1)
+	for i := 0; i < 5; i++ {
+		err := c.PartialBounds(context.Background(), bad, out)
+		if err == nil {
+			t.Fatalf("call %d: PartialBounds of %v succeeded, want a 400", i, bad)
+		}
+		if errors.Is(err, shard.ErrUnavailable) {
+			t.Fatalf("call %d: a 400 must not wrap ErrUnavailable: %v", i, err)
+		}
+		if err := c.PartialSupports(context.Background(), bad, out); err == nil {
+			t.Fatalf("call %d: PartialSupports of %v succeeded, want a 400", i, bad)
+		}
+		if got := c.BreakerState(); got != BreakerClosed {
+			t.Fatalf("call %d: breaker %v after a worker 400, want closed", i, got)
+		}
+	}
+	if err := c.PartialBounds(context.Background(), []ossm.Itemset{ossm.NewItemset(3, 5)}, out); err != nil {
+		t.Fatalf("valid PartialBounds after bad requests: %v", err)
+	}
+}

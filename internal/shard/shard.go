@@ -37,6 +37,29 @@ var ErrOverloaded = errors.New("shard: admission cap reached")
 // "the request was wrong".
 var ErrUnavailable = errors.New("shard: unavailable")
 
+// ErrBadItemset marks an itemset rejected by CheckItemset. Both wire
+// boundaries map it to 400: the request was wrong, the shard is fine.
+var ErrBadItemset = errors.New("bad itemset")
+
+// CheckItemset validates a query itemset at a wire boundary (the
+// coordinator's /v1/ubsup and a worker's bounds and supports RPCs): it
+// must be non-empty, strictly increasing (so sorted with no duplicates)
+// and every item must be < numItems. Errors wrap ErrBadItemset.
+func CheckItemset(set ossm.Itemset, numItems int) error {
+	if len(set) == 0 {
+		return fmt.Errorf("%w: the empty itemset has no OSSM bound", ErrBadItemset)
+	}
+	for i := 1; i < len(set); i++ {
+		if set[i] <= set[i-1] {
+			return fmt.Errorf("%w: %v is not strictly increasing", ErrBadItemset, set)
+		}
+	}
+	if last := set[len(set)-1]; int(last) >= numItems {
+		return fmt.Errorf("%w: item %d outside the index domain of %d items", ErrBadItemset, last, numItems)
+	}
+	return nil
+}
+
 // Range is a contiguous, half-open segment range [Lo, Hi).
 type Range struct {
 	Lo int `json:"lo"`
