@@ -30,7 +30,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -81,18 +80,17 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		addr     = fs.String("addr", ":7717", "listen address (host:port; :0 picks a free port)")
 		cache    = fs.Int("cache", 4096, "bound-cache capacity in entries (negative disables)")
 		timeout  = fs.Duration("timeout", 30*time.Second, "per-request deadline (negative disables)")
-		workers  = fs.Int("workers", runtime.NumCPU(), "goroutine pool for batch bound queries (0 or 1 = serial)")
 		mineSlot = fs.Int("mine-concurrency", 2, "max simultaneous mining runs")
 		buildSeg = fs.Int("build-segments", 0, "build an index (RandomGreedy, this segment budget) for datasets lacking one (0 = off)")
 		logLevel = fs.String("log-level", "info", "structured-log threshold: debug, info, warn or error")
 		traceBuf = fs.Int("trace-buffer", 2048, "finished-span ring capacity behind GET /v1/traces (negative disables tracing)")
 		pprofOn  = fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
-		shards   = fs.Int("shards", 0, "segment-range shards per index, served scatter-gather (0 or 1 = unsharded)")
-		hedge    = fs.Duration("hedge-after", 0, "fleet hedge cutoff: duplicate a shard call past this latency (0 = adaptive p95, negative disables; needs -shards > 1)")
+		shards   = fs.Int("shards", 0, "segment-range shards per in-process fleet; every index is served scatter-gather by its fleet, and with more than one shard /v1/mine scatters too (0 or 1 = one shard)")
+		hedge    = fs.Duration("hedge-after", 0, "fleet hedge cutoff: duplicate a shard call past this latency (0 = adaptive p95, negative disables); applies to every fleet, one-shard ones included")
 		role     = fs.String("shard-role", "", "process role: empty serves queries; \"worker\" serves one shard of every entry under /shard/v1/ (needs -shard-id and -shard-count)")
 		shardID  = fs.Int("shard-id", -1, "this worker's shard id in [0, shard-count) (worker role)")
 		shardCnt = fs.Int("shard-count", 0, "fleet width the worker slices every index into (worker role)")
-		topoPath = fs.String("topology", "", "topology file mapping shard ids to worker addresses; routes sharded serving over remote workers (SIGHUP re-reads it)")
+		topoPath = fs.String("topology", "", "topology file mapping shard ids to worker addresses; routes every fleet over remote workers (SIGHUP re-reads it)")
 		ingestKV = fs.String("ingest", "", "name=dir of a durable ingest store; recovers WAL + snapshots from dir and accepts POST /v1/ingest")
 		ingItems = fs.Int("ingest-items", 1024, "item domain size [0, n) of the -ingest store")
 		ingSnap  = fs.Int("ingest-snapshot-every", 256, "ingested records between automatic snapshots (each truncates the WAL)")
@@ -138,7 +136,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	srv := server.New(server.Config{
 		CacheSize:       *cache,
 		RequestTimeout:  *timeout,
-		Workers:         *workers,
 		MineConcurrency: *mineSlot,
 		Logger:          logger,
 		TraceBuffer:     *traceBuf,
@@ -284,7 +281,7 @@ func wireIngest(srv *server.Server, kv string, items, snapEvery, compactEvery in
 	return ing, nil
 }
 
-// wireTopology routes the server's sharded serving over the remote
+// wireTopology routes the server's fleets over the remote
 // workers the topology file lists, and re-reads the file on SIGHUP
 // (each entry's next query swaps the new transports in with a graceful
 // drain of the old topology generation).

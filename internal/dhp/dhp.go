@@ -28,12 +28,18 @@ func init() {
 // DefaultNumBuckets matches the Section 7 experiment (32 768 buckets).
 const DefaultNumBuckets = 32768
 
+// MaxNumBuckets caps NumBuckets at 2^22 (32 MiB of int64 counters per
+// hash table), 128× the Section 7 table — enough for any collision rate
+// worth measuring, and small enough that a request cannot ask DHP to
+// allocate past available memory.
+const MaxNumBuckets = 1 << 22
+
 // Options configures Mine. The embedded mining.Options carries the
 // engine-wide knobs (Pruner, MaxLen, Workers, Progress).
 type Options struct {
 	mining.Options
-	// NumBuckets sizes the pass-1 hash table H2. Defaults to
-	// DefaultNumBuckets when zero.
+	// NumBuckets sizes the pass-1 hash table H2: DefaultNumBuckets when
+	// zero, at most MaxNumBuckets.
 	NumBuckets int
 }
 
@@ -79,8 +85,8 @@ func Mine(d *dataset.Dataset, minCount int64, opts Options) (*mining.Result, err
 	if buckets == 0 {
 		buckets = DefaultNumBuckets
 	}
-	if buckets < 1 {
-		return nil, fmt.Errorf("dhp: NumBuckets must be positive, got %d", buckets)
+	if buckets < 1 || buckets > MaxNumBuckets {
+		return nil, fmt.Errorf("dhp: %w: NumBuckets %d out of range [1, %d]", mining.ErrInvalidOption, buckets, MaxNumBuckets)
 	}
 	start := time.Now()
 	pool := conc.Resolve(opts.Workers)

@@ -1,6 +1,7 @@
 package dhp
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -209,8 +210,10 @@ func TestOptionsValidation(t *testing.T) {
 	if _, err := Mine(d, 0, Options{}); err == nil {
 		t.Error("minCount 0 accepted")
 	}
-	if _, err := Mine(d, 1, Options{NumBuckets: -5}); err == nil {
-		t.Error("negative NumBuckets accepted")
+	for _, buckets := range []int{-5, MaxNumBuckets + 1, 1 << 46} {
+		if _, err := Mine(d, 1, Options{NumBuckets: buckets}); !errors.Is(err, mining.ErrInvalidOption) {
+			t.Errorf("NumBuckets %d: err = %v, want ErrInvalidOption", buckets, err)
+		}
 	}
 }
 

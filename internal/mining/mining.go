@@ -5,6 +5,7 @@
 package mining
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -180,6 +181,11 @@ func MinCountFor(d *dataset.Dataset, frac float64) int64 {
 	}
 	return c
 }
+
+// ErrInvalidOption marks a miner option outside its valid range (a
+// negative or oversized Params value). The serving layer maps it to 400:
+// the request was wrong, not the server.
+var ErrInvalidOption = errors.New("invalid option")
 
 // ValidateMinCount rejects non-positive thresholds with a uniform error.
 func ValidateMinCount(minCount int64) error {

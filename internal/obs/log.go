@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"runtime/debug"
 	"strings"
 )
 
@@ -41,3 +42,32 @@ func (nopHandler) Enabled(context.Context, slog.Level) bool  { return false }
 func (nopHandler) Handle(context.Context, slog.Record) error { return nil }
 func (h nopHandler) WithAttrs([]slog.Attr) slog.Handler      { return h }
 func (h nopHandler) WithGroup(string) slog.Handler           { return h }
+
+// Recover contains a panic at a request or goroutine boundary. Defer it
+// directly (recover only works in the deferred call itself):
+//
+//	defer obs.Recover(ctx, logger, span, where, func(v any) { ... })
+//
+// Without a panic it does nothing. On one it marks span with outcome
+// "panic" (the caller still ends it), writes one error line carrying the
+// request id, the panic value and the stack to logger (nil discards it),
+// and hands the value to onPanic, which turns it into the caller's
+// failure: a 500, an error result.
+func Recover(ctx context.Context, logger *slog.Logger, span *Span, where string, onPanic func(v any)) {
+	v := recover()
+	if v == nil {
+		return
+	}
+	span.SetAttr("outcome", "panic")
+	span.SetAttr("panic", fmt.Sprint(v))
+	if logger != nil {
+		logger.LogAttrs(ctx, slog.LevelError, "panic",
+			slog.String("request_id", RequestIDFrom(ctx)),
+			slog.String("trace_id", span.TraceID()),
+			slog.String("where", where),
+			slog.String("panic", fmt.Sprint(v)),
+			slog.String("stack", string(debug.Stack())),
+		)
+	}
+	onPanic(v)
+}

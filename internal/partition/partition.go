@@ -85,7 +85,7 @@ func Mine(d *dataset.Dataset, minCount int64, opts Options) (*mining.Result, err
 		np = 1
 	}
 	if np < 1 || np > d.NumTx() {
-		return nil, fmt.Errorf("partition: NumPartitions %d out of range [1, %d]", np, d.NumTx())
+		return nil, fmt.Errorf("partition: %w: NumPartitions %d out of range [1, %d]", mining.ErrInvalidOption, np, d.NumTx())
 	}
 	parts := dataset.PaginateN(d, np)
 	start := time.Now()

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -201,11 +202,10 @@ func TestPartitionValidation(t *testing.T) {
 	if _, err := Mine(d, 0, Options{}); err == nil {
 		t.Error("minCount 0 accepted")
 	}
-	if _, err := Mine(d, 1, Options{NumPartitions: 3}); err == nil {
-		t.Error("more partitions than transactions accepted")
-	}
-	if _, err := Mine(d, 1, Options{NumPartitions: -1}); err == nil {
-		t.Error("negative partitions accepted")
+	for _, np := range []int{3, -1} {
+		if _, err := Mine(d, 1, Options{NumPartitions: np}); !errors.Is(err, mining.ErrInvalidOption) {
+			t.Errorf("NumPartitions %d: err = %v, want ErrInvalidOption", np, err)
+		}
 	}
 }
 

@@ -167,8 +167,9 @@ func (ing *Ingester) compactor() {
 }
 
 // promote re-segments the store's current state and swaps the result
-// into the registry. Readers racing the swap keep the index they looked
-// up; the version bump retires their cached bounds.
+// into the registry. Readers racing the swap are answered from the index
+// they looked up or a newer one; the version bump retires their cached
+// bounds.
 func (ing *Ingester) promote() error {
 	start := time.Now()
 	_, span := ing.srv.obs.tracer.Start(context.Background(), "compaction")

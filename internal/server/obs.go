@@ -33,6 +33,7 @@ type obsState struct {
 
 	httpRequests *obs.CounterVec   // ossm_http_requests_total{route,status}
 	httpLatency  *obs.HistogramVec // ossm_http_request_duration_seconds{route}
+	httpPanics   *obs.CounterVec   // ossm_http_panics_total{route}
 	mineRuns     *obs.CounterVec   // ossm_mine_runs_total{miner}
 	minePasses   *obs.CounterVec   // ossm_mine_passes_total{miner}
 	mineCand     *obs.CounterVec   // ossm_mine_candidates_total{stage}
@@ -70,6 +71,8 @@ func (s *Server) initObs() {
 		"HTTP requests served, by route and status code.", "route", "status")
 	o.httpLatency = r.HistogramVec("ossm_http_request_duration_seconds",
 		"HTTP request latency in seconds, by route.", obs.DefBuckets, "route")
+	o.httpPanics = r.CounterVec("ossm_http_panics_total",
+		"Handler panics recovered into a 500, by route.", "route")
 	o.mineRuns = r.CounterVec("ossm_mine_runs_total",
 		"Completed mining runs, by miner.", "miner")
 	o.minePasses = r.CounterVec("ossm_mine_passes_total",
@@ -217,7 +220,9 @@ func routeLabel(path string) string {
 // middleware is the per-request observability envelope: request counting
 // and body capping as before, plus the request ID (minted or taken from
 // the client's X-Request-Id and echoed back), the root span, the
-// route/status metrics and the structured access-log line.
+// route/status metrics and the structured access-log line. A handler
+// panic is recovered into a 500 that still gets all of these, plus an
+// ossm_http_panics_total{route} increment and an error log line.
 func (s *Server) middleware(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -242,7 +247,15 @@ func (s *Server) middleware(next http.Handler) http.Handler {
 			r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 		}
 		sw := &statusWriter{ResponseWriter: w}
-		next.ServeHTTP(sw, r.WithContext(ctx))
+		func() {
+			defer obs.Recover(ctx, s.obs.logger, span, route, func(any) {
+				s.obs.httpPanics.With(route).Inc()
+				if sw.status == 0 {
+					s.writeErr(sw, http.StatusInternalServerError, "internal error")
+				}
+			})
+			next.ServeHTTP(sw, r.WithContext(ctx))
+		}()
 
 		status := sw.status
 		if status == 0 {

@@ -80,6 +80,8 @@ func (r *Registry) AddDataset(name string, d *ossm.Dataset) error {
 // Swap replaces the named index with a new one (typically a streaming
 // Appender snapshot) and bumps its version, invalidating all bounds
 // cached against the old index. The entry's dataset, if any, is kept.
+// The replacement must keep the item domain: a request validated against
+// the old index may be answered by the entry's fleet from the new one.
 func (r *Registry) Swap(name string, ix *ossm.Index) error {
 	if ix == nil {
 		return fmt.Errorf("server: Swap requires an index")
@@ -89,6 +91,9 @@ func (r *Registry) Swap(name string, ix *ossm.Index) error {
 	e, ok := r.entries[name]
 	if !ok || e.index == nil {
 		return fmt.Errorf("server: unknown index %q", name)
+	}
+	if ix.NumItems() != e.index.NumItems() {
+		return fmt.Errorf("server: Swap of %q changes the item domain from %d to %d items", name, e.index.NumItems(), ix.NumItems())
 	}
 	e.index = ix
 	e.version++
@@ -144,10 +149,10 @@ type IndexInfo struct {
 	HasDataset bool   `json:"has_dataset"`
 	HasIndex   bool   `json:"has_index"`
 
-	// Sharded-serving topology, present only when the server runs a
-	// scatter-gather fleet for this entry (Config.Shards > 1). Unsharded
-	// servers keep the original response shape: every field below is
-	// omitted from the JSON.
+	// Fleet topology, present only when the entry's fleet has more than
+	// one shard or is remote. One-shard local fleets (Config.Shards ≤ 1)
+	// keep the original response shape: every field below is omitted
+	// from the JSON.
 	ShardCount      int          `json:"shard_count,omitempty"`
 	FleetGeneration uint64       `json:"fleet_generation,omitempty"`
 	HedgesFired     int64        `json:"hedges_fired,omitempty"`

@@ -3,19 +3,19 @@
 // answers itemset bound queries (the workload of Liberty et al.'s
 // frequency-sketch serving setting) and full mining runs from them.
 //
-// The hot path is POST /v1/ubsup: canonicalize the itemset, consult the
+// The hot path is POST /v1/ubsup: canonicalize the itemsets, consult the
 // LRU bound cache (keyed on index name, index version and canonical
-// itemset), and fall back to the index's segment min-scan on a miss.
-// Batch requests probe the cache per itemset and then answer every miss
-// together with the row-amortized batch kernel, so each segment-support
-// row is loaded once per chunk rather than once per itemset.
+// itemset), and answer every miss together through the entry's
+// scatter-gather fleet (internal/shard). Every index is served by a
+// fleet: one segment-range shard unless Config.Shards or a remote
+// topology asks for more, so single, batch, sharded and unsharded
+// queries share one miss path — cache → scatter → merge.
 // Swapping an index — e.g. with a streaming Appender snapshot — bumps its
 // registry version, so every cached bound for the old index becomes
 // unreachable at once; stale answers are structurally impossible.
 //
-// Every request runs under a context deadline; mining runs additionally
-// pass through a bounded admission semaphore, and batch bound queries fan
-// out over an internal/conc pool.
+// Every request runs under a context deadline, and mining runs
+// additionally pass through a bounded admission semaphore.
 package server
 
 import (
@@ -33,15 +33,15 @@ import (
 	"time"
 
 	ossm "github.com/ossm-mining/ossm"
-	"github.com/ossm-mining/ossm/internal/conc"
+	"github.com/ossm-mining/ossm/internal/mining"
 	"github.com/ossm-mining/ossm/internal/obs"
 	"github.com/ossm-mining/ossm/internal/shard"
 	"github.com/ossm-mining/ossm/internal/telemetry"
 )
 
 // Config tunes a Server. The zero value serves with a 4096-entry bound
-// cache, a 30-second request deadline, serial batch evaluation and at
-// most two concurrent mining runs.
+// cache, a 30-second request deadline, one shard per index and at most
+// two concurrent mining runs.
 type Config struct {
 	// CacheSize is the bound-cache capacity in entries (0 ⇒ 4096;
 	// negative disables caching).
@@ -49,10 +49,6 @@ type Config struct {
 	// RequestTimeout is the per-request context deadline (0 ⇒ 30s;
 	// negative disables the deadline).
 	RequestTimeout time.Duration
-	// Workers fans batch ubsup evaluation over a goroutine pool
-	// (conc.Resolve semantics: 0, 1 or negative = serial, larger values
-	// capped at NumCPU).
-	Workers int
 	// MineConcurrency bounds simultaneous /v1/mine runs; excess requests
 	// wait for a slot until their deadline (0 ⇒ 2).
 	MineConcurrency int
@@ -69,16 +65,15 @@ type Config struct {
 	// EnablePprof mounts net/http/pprof under /debug/pprof/.
 	EnablePprof bool
 	// Shards splits every registered index into this many segment-range
-	// shards and serves /v1/ubsup and /v1/mine scatter-gather through an
-	// in-process fleet (internal/shard). 0 or 1 keeps the single-index
-	// paths. Answers are bit-identical either way — the OSSM bound is a
-	// sum over segments and supports are sums over transactions, so
-	// partition-and-merge is lossless.
+	// shards of its in-process fleet (internal/shard); 0 or 1 serves each
+	// index as a one-shard fleet. With more than one shard, /v1/mine also
+	// runs scatter-gather. Answers are bit-identical either way — the
+	// OSSM bound is a sum over segments and supports are sums over
+	// transactions, so partition-and-merge is lossless.
 	Shards int
 	// HedgeAfter is the fleet's hedge cutoff: past this latency the
 	// coordinator fires a duplicate shard call and takes the first
 	// answer. 0 adapts to the observed p95; negative disables hedging.
-	// Only meaningful with Shards > 1.
 	HedgeAfter time.Duration
 }
 
@@ -111,13 +106,12 @@ type Server struct {
 	cfg     Config
 	reg     *Registry
 	cache   *boundCache
-	workers int           // resolved batch pool size
 	mineSem chan struct{} // admission semaphore for mining runs
 	start   time.Time
 
-	// Sharded serving (Config.Shards > 1): one scatter-gather fleet per
-	// registry entry, built lazily from the entry's current index and
-	// swapped (with a graceful drain) whenever the entry changes.
+	// One scatter-gather fleet per registry entry, built lazily from the
+	// entry's current index and swapped (with a graceful drain) whenever
+	// the entry changes.
 	fleetsMu sync.Mutex
 	fleets   map[string]*fleetEntry
 
@@ -165,7 +159,6 @@ func New(cfg Config) *Server {
 		cfg:     cfg,
 		reg:     NewRegistry(),
 		cache:   newBoundCache(cfg.CacheSize),
-		workers: conc.Resolve(cfg.Workers),
 		mineSem: make(chan struct{}, cfg.MineConcurrency),
 		start:   time.Now(),
 		fleets:  make(map[string]*fleetEntry),
@@ -193,10 +186,7 @@ func (s *Server) AddDataset(name string, d *ossm.Dataset) error { return s.reg.A
 // every bound cached against the old index).
 func (s *Server) Swap(name string, ix *ossm.Index) error { return s.reg.Swap(name, ix) }
 
-// sharded reports whether this server fans queries over a shard fleet.
-func (s *Server) sharded() bool { return s.cfg.Shards > 1 || s.remoteFn != nil }
-
-// UseRemoteFleet routes sharded serving over remote HTTP shard
+// UseRemoteFleet routes every fleet over remote HTTP shard
 // transports: fn builds the transport list (typically
 // remote.Topology.Transports with the server's RemoteHooks) for a named
 // entry whenever a fleet is (re)built. Call it once, before serving —
@@ -236,13 +226,18 @@ type fleetEntry struct {
 // fleetFor returns the scatter-gather fleet serving the named entry,
 // building it on first use and swapping its topology (draining the old
 // one) whenever the entry's index or dataset changed since the last
-// call. It returns (nil, nil) on unsharded servers. Fleets are built
-// lazily on the query path rather than at registration, so loaders that
-// register through Registry() directly are sharded all the same.
-func (s *Server) fleetFor(name string, ix *ossm.Index, d *ossm.Dataset) (*shard.Fleet, error) {
-	if !s.sharded() || ix == nil {
-		return nil, nil
-	}
+// call. Without a remote topology the fleet is Config.Shards in-process
+// shards (one when Shards ≤ 1). Fleets are built lazily on the query
+// path rather than at registration, so loaders that register through
+// Registry() directly are served all the same.
+//
+// The entry is read from the registry under fe.mu, not taken from the
+// caller: installs are serialized there and each installs the entry as
+// it is at that moment, so a topology only ever moves forward. A request
+// that looked up an older index before a Swap therefore cannot swap it
+// back in under a concurrent request that looked up the newer one (and
+// have that request cache an older bound under the newer version).
+func (s *Server) fleetFor(name string) (*shard.Fleet, error) {
 	s.fleetsMu.Lock()
 	fe, ok := s.fleets[name]
 	if !ok {
@@ -252,6 +247,11 @@ func (s *Server) fleetFor(name string, ix *ossm.Index, d *ossm.Dataset) (*shard.
 	s.fleetsMu.Unlock()
 	fe.mu.Lock()
 	defer fe.mu.Unlock()
+	ix, _, ok := s.reg.Lookup(name)
+	if !ok {
+		return nil, fmt.Errorf("unknown index %q", name)
+	}
+	d, _ := s.reg.Dataset(name)
 	if s.remoteFn != nil {
 		gen := s.topoGen.Load()
 		if fe.fleet != nil && fe.topoGen == gen {
@@ -318,24 +318,22 @@ func (s *Server) noteShardOutcome(shardID int, outcome string) {
 }
 
 // indexInfos augments the registry listing with each entry's fleet
-// topology on sharded servers; unsharded servers return the registry
-// rows untouched (the pre-sharding response shape).
+// topology when the fleet has more than one shard or is remote; rows of
+// one-shard local fleets keep the pre-sharding response shape.
 func (s *Server) indexInfos() []IndexInfo {
 	infos := s.reg.Info()
-	if !s.sharded() {
-		return infos
-	}
 	for i := range infos {
-		ix, _, ok := s.reg.Lookup(infos[i].Name)
-		if !ok {
+		if !infos[i].HasIndex {
 			continue
 		}
-		d, _ := s.reg.Dataset(infos[i].Name)
-		fleet, err := s.fleetFor(infos[i].Name, ix, d)
-		if err != nil || fleet == nil {
+		fleet, err := s.fleetFor(infos[i].Name)
+		if err != nil {
 			continue
 		}
 		st := fleet.Describe()
+		if len(st.Shards) <= 1 && s.remoteFn == nil {
+			continue
+		}
 		infos[i].ShardCount = len(st.Shards)
 		infos[i].FleetGeneration = st.Generation
 		infos[i].HedgesFired = st.HedgesFired
@@ -360,142 +358,81 @@ func (s *Server) Bound(name string, items []ossm.Item, noCache bool) (BoundResul
 	if !ok {
 		return BoundResult{}, fmt.Errorf("unknown index %q", name)
 	}
-	d, _ := s.reg.Dataset(name)
-	fleet, err := s.fleetFor(name, ix, d)
+	res, err := s.boundBatch(context.Background(), name, ix, version, [][]ossm.Item{items}, noCache)
 	if err != nil {
 		return BoundResult{}, err
 	}
-	return s.bound(context.Background(), ix, fleet, name, version, items, noCache)
+	return res[0], nil
 }
 
-func (s *Server) bound(ctx context.Context, ix *ossm.Index, fleet *shard.Fleet, name string, version uint64, items []ossm.Item, noCache bool) (BoundResult, error) {
-	set := ossm.NewItemset(items...)
-	if err := shard.CheckItemset(set, ix.NumItems()); err != nil {
-		return BoundResult{}, err
-	}
-	s.queries.Inc()
-	var key []byte
-	if !noCache {
-		key = appendCacheKey(make([]byte, 0, 64), name, version, set)
-		_, probe := s.obs.tracer.Start(ctx, "cache-probe")
-		b, ok := s.cache.get(key)
-		probe.SetAttr("hit", ok)
-		probe.End()
-		if ok {
-			return BoundResult{Itemset: set, Bound: b, Cached: true}, nil
-		}
-	}
-	// The miss path is the paper's ubsup scan: a min over the itemset's
-	// segment rows (eq. 1) — fanned over the shard fleet when sharded,
-	// with the per-shard partial sums merged by addition.
-	var b int64
-	if fleet != nil {
-		sctx, scan := s.obs.tracer.Start(ctx, "ubsup-scatter")
-		start := time.Now()
-		out := make([]int64, 1)
-		if err := fleet.Bounds(sctx, []ossm.Itemset{set}, out); err != nil {
-			scan.SetAttr("outcome", "error")
-			scan.End()
-			return BoundResult{}, err
-		}
-		b = out[0]
-		s.queryWall.Observe(time.Since(start))
-		scan.SetAttr("bound", b)
-		scan.End()
-	} else {
-		_, scan := s.obs.tracer.Start(ctx, "ubsup-scan")
-		start := time.Now()
-		b = ix.UpperBound(set)
-		s.queryWall.Observe(time.Since(start))
-		scan.SetAttr("bound", b)
-		scan.End()
-	}
-	if !noCache {
-		s.cache.put(key, b)
-	}
-	return BoundResult{Itemset: set, Bound: b}, nil
-}
+// errFleet marks a failure to build an entry's fleet: a server fault
+// (500), not a bad request.
+var errFleet = errors.New("building shard fleet")
 
-// boundBatch answers a whole ubsup batch. Single-itemset requests keep
-// the scalar path (and its per-request spans); larger batches
-// canonicalize and validate every itemset up front, probe the cache
-// under one span, and evaluate all misses together with the
-// row-amortized batch kernel, so each segment-support row is loaded
-// once per chunk rather than once per itemset.
-func (s *Server) boundBatch(ctx context.Context, ix *ossm.Index, fleet *shard.Fleet, name string, version uint64, batch [][]ossm.Item, noCache bool) ([]BoundResult, error) {
-	if len(batch) == 1 {
-		res, err := s.bound(ctx, ix, fleet, name, version, batch[0], noCache)
-		if err != nil {
-			return nil, err
-		}
-		return []BoundResult{res}, nil
-	}
-	sets := make([]ossm.Itemset, len(batch))
+// boundBatch answers a ubsup request of one or more itemsets. It
+// canonicalizes and validates every itemset up front and probes the
+// cache under one span; only when something missed does it resolve the
+// entry's fleet and scatter all misses together, each shard answering
+// its segment range with the row-amortized batch kernel and the
+// partial sums merged by addition (the paper's eq. 1 split over
+// segment ranges).
+func (s *Server) boundBatch(ctx context.Context, name string, ix *ossm.Index, version uint64, batch [][]ossm.Item, noCache bool) ([]BoundResult, error) {
+	results := make([]BoundResult, len(batch))
 	for i, items := range batch {
 		set := ossm.NewItemset(items...)
 		if err := shard.CheckItemset(set, ix.NumItems()); err != nil {
 			return nil, err
 		}
-		sets[i] = set
+		results[i].Itemset = set
 	}
-	s.queries.Add(int64(len(sets)))
-	results := make([]BoundResult, len(sets))
+	s.queries.Add(int64(len(results)))
 	var missIdx []int
 	var keys [][]byte
-	if !noCache {
+	if noCache {
+		missIdx = make([]int, len(results))
+		for i := range missIdx {
+			missIdx[i] = i
+		}
+	} else {
 		_, probe := s.obs.tracer.Start(ctx, "cache-probe")
-		for i, set := range sets {
-			key := appendCacheKey(make([]byte, 0, 64), name, version, set)
+		for i := range results {
+			key := appendCacheKey(make([]byte, 0, 64), name, version, results[i].Itemset)
 			if b, ok := s.cache.get(key); ok {
-				results[i] = BoundResult{Itemset: set, Bound: b, Cached: true}
+				results[i].Bound, results[i].Cached = b, true
 				continue
 			}
 			missIdx = append(missIdx, i)
 			keys = append(keys, key)
 		}
-		probe.SetAttr("hits", len(sets)-len(missIdx))
+		probe.SetAttr("hits", len(results)-len(missIdx))
 		probe.End()
-	} else {
-		missIdx = make([]int, len(sets))
-		for i := range missIdx {
-			missIdx[i] = i
-		}
 	}
-	if len(missIdx) > 0 {
-		missSets := make([]ossm.Itemset, len(missIdx))
-		for mi, i := range missIdx {
-			missSets[mi] = sets[i]
-		}
-		bounds := make([]int64, len(missSets))
-		if fleet != nil {
-			// Scatter-gather: every shard answers the whole miss batch
-			// over its own segment range with the batch kernel, and the
-			// coordinator merges the partial sums by addition.
-			sctx, scan := s.obs.tracer.Start(ctx, "ubsup-scatter")
-			start := time.Now()
-			if err := fleet.Bounds(sctx, missSets, bounds); err != nil {
-				scan.SetAttr("outcome", "error")
-				scan.End()
-				return nil, err
-			}
-			s.queryWall.Observe(time.Since(start))
-			scan.SetAttr("sets", len(missSets))
-			scan.End()
-		} else {
-			_, scan := s.obs.tracer.Start(ctx, "ubsup-batch")
-			start := time.Now()
-			conc.ForChunks(s.workers, len(missSets), func(_, lo, hi int) {
-				ix.UpperBoundBatch(missSets[lo:hi], bounds[lo:hi])
-			})
-			s.queryWall.Observe(time.Since(start))
-			scan.SetAttr("sets", len(missSets))
-			scan.End()
-		}
-		for mi, i := range missIdx {
-			results[i] = BoundResult{Itemset: sets[i], Bound: bounds[mi]}
-			if !noCache {
-				s.cache.put(keys[mi], bounds[mi])
-			}
+	if len(missIdx) == 0 {
+		return results, nil
+	}
+	fleet, err := s.fleetFor(name)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", errFleet, err)
+	}
+	missSets := make([]ossm.Itemset, len(missIdx))
+	for mi, i := range missIdx {
+		missSets[mi] = results[i].Itemset
+	}
+	bounds := make([]int64, len(missSets))
+	sctx, scan := s.obs.tracer.Start(ctx, "ubsup-scatter")
+	start := time.Now()
+	if err := fleet.Bounds(sctx, missSets, bounds); err != nil {
+		scan.SetAttr("outcome", "error")
+		scan.End()
+		return nil, err
+	}
+	s.queryWall.Observe(time.Since(start))
+	scan.SetAttr("sets", len(missSets))
+	scan.End()
+	for mi, i := range missIdx {
+		results[i].Bound = bounds[mi]
+		if !noCache {
+			s.cache.put(keys[mi], bounds[mi])
 		}
 	}
 	return results, nil
@@ -615,15 +552,11 @@ func (s *Server) handleUbsup(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, http.StatusNotFound, "unknown index %q", req.Index)
 		return
 	}
-	d, _ := s.reg.Dataset(req.Index)
-	fleet, err := s.fleetFor(req.Index, ix, d)
-	if err != nil {
-		s.writeErr(w, http.StatusInternalServerError, "building shard fleet: %v", err)
-		return
-	}
-	results, err := s.boundBatch(r.Context(), ix, fleet, req.Index, version, batch, req.NoCache)
+	results, err := s.boundBatch(r.Context(), req.Index, ix, version, batch, req.NoCache)
 	if err != nil {
 		switch {
+		case errors.Is(err, errFleet):
+			s.writeErr(w, http.StatusInternalServerError, "%v", err)
 		case errors.Is(err, shard.ErrBadItemset):
 			s.writeErr(w, http.StatusBadRequest, "%v", err)
 		case errors.Is(err, shard.ErrOverloaded) || errors.Is(err, shard.ErrUnavailable):
@@ -687,9 +620,9 @@ type MineItemset struct {
 }
 
 // MineResponse reports a completed mining run with its telemetry.
-// Sharded runs report Shards and Candidates instead of Levels and
-// Telemetry: the run is a scatter-gather over per-shard miners, so there
-// is no single level-by-level trace to echo.
+// Scatter-gather runs (fleets of more than one shard) report Shards and
+// Candidates instead of Levels and Telemetry: the run is a merge over
+// per-shard miners, so there is no single level-by-level trace to echo.
 type MineResponse struct {
 	Index       string          `json:"index"`
 	Miner       string          `json:"miner"`
@@ -699,10 +632,10 @@ type MineResponse struct {
 	Levels      []MineLevel     `json:"levels,omitempty"`
 	Top         []MineItemset   `json:"top,omitempty"`
 	Telemetry   *ossm.Telemetry `json:"telemetry,omitempty"`
-	// Shards is the fleet width of a sharded run (0 when unsharded).
+	// Shards is the fleet width of a scatter-gather run (0 otherwise).
 	Shards int `json:"shards,omitempty"`
-	// Candidates is a sharded run's gather-phase workload: the size of
-	// the union of locally frequent itemsets recounted globally.
+	// Candidates is a scatter-gather run's gather-phase workload: the
+	// size of the union of locally frequent itemsets recounted globally.
 	Candidates int `json:"candidates,omitempty"`
 }
 
@@ -727,6 +660,10 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, http.StatusBadRequest, "exactly one of support and min_count must be positive")
 		return
 	}
+	if req.MaxLen < 0 {
+		s.writeErr(w, http.StatusBadRequest, "max_len must be ≥ 0 (0 = unbounded), got %d", req.MaxLen)
+		return
+	}
 	d, hasData := s.reg.Dataset(req.Index)
 	ix, _, hasIndex := s.reg.Lookup(req.Index)
 	if !hasData && !hasIndex {
@@ -745,22 +682,25 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 	if req.UseOSSM != nil {
 		useOSSM = *req.UseOSSM && hasIndex
 	}
-	var filter ossm.Filter
-	if useOSSM {
-		filter = ix.PrunerAt(minCount)
-	}
-	// Sharded servers scatter the run over the fleet's transaction
-	// slices instead of mining in one piece (Partition decomposition:
-	// local-frequent union, then an exact global recount). Shard-local
-	// bounds cover only each shard's transactions, so OSSM pruning does
-	// not apply inside the scatter phase.
-	var fleet *shard.Fleet
+
+	// Two engines, chosen by the entry's fleet. A fleet of more than one
+	// shard scatters the run over its transaction slices (Partition
+	// decomposition: local-frequent union, then an exact global recount);
+	// shard-local bounds cover only each shard's transactions, so OSSM
+	// pruning does not apply there. Otherwise this node mines the whole
+	// dataset, pruned by the entry's index — including under a one-worker
+	// remote topology, since the entry holds the dataset here.
+	engine := func(ctx context.Context) mined { return s.mineLocal(ctx, req, d, ix, useOSSM, minCount) }
+	shards := 0
 	if hasIndex {
-		var ferr error
-		fleet, ferr = s.fleetFor(req.Index, ix, d)
-		if ferr != nil {
-			s.writeErr(w, http.StatusInternalServerError, "building shard fleet: %v", ferr)
+		fleet, err := s.fleetFor(req.Index)
+		if err != nil {
+			s.writeErr(w, http.StatusInternalServerError, "%v: %v", errFleet, err)
 			return
+		}
+		if n := fleet.NumShards(); n > 1 {
+			shards = n
+			engine = func(ctx context.Context) mined { return mineScatter(ctx, fleet, req, minCount) }
 		}
 	}
 
@@ -783,68 +723,47 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	if fleet != nil {
-		s.mineSharded(ctx, w, fleet, req, minCount)
-		return
-	}
-
-	instr := ossm.NewInstrumentation()
 	runCtx, run := s.obs.tracer.Start(ctx, "mine-run")
 	run.SetAttr("miner", req.Miner)
 	run.SetAttr("min_count", minCount)
-	s.markMineStart(runCtx, req.Miner, minCount)
-	// Each EventPassEnd carries the pass's wall time, so the per-pass
-	// spans are synthesized retroactively: started Wall ago, ended now.
-	// The sink runs on the mining goroutine; the tracer ring is
-	// concurrency-safe.
-	instr.SetSink(func(e ossm.TelemetryEvent) {
-		if e.Kind != telemetry.EventPassEnd {
-			return
-		}
-		_, span := s.obs.tracer.StartAt(runCtx, fmt.Sprintf("pass-%d", e.Pass.K), time.Now().Add(-e.Pass.Wall))
-		span.SetAttr("generated", e.Pass.Generated)
-		span.SetAttr("pruned_ossm", e.Pass.PrunedOSSM)
-		span.SetAttr("counted", e.Pass.Counted)
-		span.SetAttr("frequent", e.Pass.Frequent)
-		span.End()
-	})
-	type mineOut struct {
-		res *ossm.Result
-		err error
+	if shards > 1 {
+		run.SetAttr("shards", shards)
 	}
-	ch := make(chan mineOut, 1)
+	s.markMineStart(runCtx, req.Miner, minCount)
+	// The engine runs on its own goroutine so the handler can answer at
+	// the deadline; a panic in it becomes a 500, never a dead process.
+	ch := make(chan mined, 1)
 	start := time.Now()
 	go func() {
-		res, err := ossm.MineAt(req.Miner, d, minCount, ossm.MineOptions{
-			Filter:     filter,
-			MaxLen:     req.MaxLen,
-			Workers:    req.Workers,
-			Params:     req.Params,
-			Instrument: instr,
-			RequestID:  obs.RequestIDFrom(ctx),
+		var out mined
+		defer func() { ch <- out }()
+		defer obs.Recover(runCtx, s.obs.logger, run, "mine-run", func(v any) {
+			out = mined{err: fmt.Errorf("%w: %v", errPanic, v)}
 		})
-		ch <- mineOut{res, err}
+		out = engine(runCtx)
 	}()
-	var out mineOut
+	var out mined
 	select {
 	case out = <-ch:
 	case <-ctx.Done():
 		// The run finishes in the background; its result is dropped.
-		run.SetAttr("outcome", "deadline")
-		run.End()
-		s.writeErr(w, http.StatusGatewayTimeout, "mining exceeded the request deadline")
-		return
+		out.err = ctx.Err()
 	}
 	if out.err != nil {
-		run.SetAttr("outcome", "error")
+		code, outcome := mineStatus(ctx, out.err)
+		run.SetAttr("outcome", outcome)
 		run.End()
-		s.writeErr(w, http.StatusInternalServerError, "mining: %v", out.err)
+		if outcome == "deadline" {
+			s.writeErr(w, code, "mining exceeded the request deadline")
+			return
+		}
+		s.writeErr(w, code, "mining: %v", out.err)
 		return
 	}
 	s.mines.Inc()
 	s.mineWall.Observe(time.Since(start))
 	s.obs.mineRuns.With(req.Miner).Inc()
-	if rep := out.res.Stats.Telemetry; rep != nil {
+	if rep := out.resp.Telemetry; rep != nil {
 		s.mineGenerated.Add(rep.Generated)
 		s.minePruned.Add(rep.PrunedOSSM + rep.PrunedHash)
 		s.mineCounted.Add(rep.Counted)
@@ -861,43 +780,119 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	run.SetAttr("outcome", "ok")
-	run.SetAttr("frequent", out.res.NumFrequent())
+	run.SetAttr("frequent", out.resp.NumFrequent)
 	run.End()
 
-	resp := MineResponse{
-		Index:       req.Index,
-		Miner:       req.Miner,
-		MinCount:    minCount,
-		NumFrequent: out.res.NumFrequent(),
-		Pruned:      useOSSM,
-		Telemetry:   out.res.Stats.Telemetry,
-	}
-	for _, l := range out.res.Levels {
-		resp.Levels = append(resp.Levels, MineLevel{
-			K: l.K, Frequent: len(l.Frequent),
-			Generated: l.Stats.Generated, Pruned: l.Stats.Pruned, Counted: l.Stats.Counted,
-		})
-	}
+	resp := out.resp
+	resp.Index, resp.Miner, resp.MinCount = req.Index, req.Miner, minCount
 	top := req.Top
 	if top == 0 {
 		top = 20
 	}
 	if top > 0 {
-		all := out.res.All()
+		all := out.all
 		sort.Slice(all, func(i, j int) bool {
 			if all[i].Count != all[j].Count {
 				return all[i].Count > all[j].Count
 			}
 			return all[i].Items.Compare(all[j].Items) < 0
 		})
-		if top > len(all) {
-			top = len(all)
-		}
-		for _, c := range all[:top] {
+		for _, c := range all[:min(top, len(all))] {
 			resp.Top = append(resp.Top, MineItemset{Itemset: c.Items, Support: c.Count})
 		}
 	}
 	s.writeJSON(w, http.StatusOK, resp)
+}
+
+// errPanic marks a mining run that panicked and was recovered.
+var errPanic = errors.New("panic")
+
+// mineStatus maps a failed mining run onto its HTTP status and the
+// mine-run span's outcome.
+func mineStatus(ctx context.Context, err error) (int, string) {
+	switch {
+	case errors.Is(err, errPanic):
+		return http.StatusInternalServerError, "panic"
+	case errors.Is(err, mining.ErrInvalidOption):
+		return http.StatusBadRequest, "error"
+	case ctx.Err() != nil:
+		return http.StatusGatewayTimeout, "deadline"
+	case errors.Is(err, shard.ErrOverloaded) || errors.Is(err, shard.ErrUnavailable):
+		return http.StatusServiceUnavailable, "error"
+	}
+	return http.StatusInternalServerError, "error"
+}
+
+// mined is one engine's answer: the response fields only that engine
+// fills, plus every frequent itemset for the top-N echo.
+type mined struct {
+	resp MineResponse
+	all  []ossm.Counted
+	err  error
+}
+
+// mineLocal mines the whole dataset on this node with the requested
+// miner, pruned by the entry's index when useOSSM is set, and reports
+// the run's level-by-level telemetry.
+func (s *Server) mineLocal(runCtx context.Context, req MineRequest, d *ossm.Dataset, ix *ossm.Index, useOSSM bool, minCount int64) mined {
+	var filter ossm.Filter
+	if useOSSM {
+		filter = ix.PrunerAt(minCount)
+	}
+	instr := ossm.NewInstrumentation()
+	// Each EventPassEnd carries the pass's wall time, so the per-pass
+	// spans are synthesized retroactively: started Wall ago, ended now.
+	// The sink runs on the mining goroutine; the tracer ring is
+	// concurrency-safe.
+	instr.SetSink(func(e ossm.TelemetryEvent) {
+		if e.Kind != telemetry.EventPassEnd {
+			return
+		}
+		_, span := s.obs.tracer.StartAt(runCtx, fmt.Sprintf("pass-%d", e.Pass.K), time.Now().Add(-e.Pass.Wall))
+		span.SetAttr("generated", e.Pass.Generated)
+		span.SetAttr("pruned_ossm", e.Pass.PrunedOSSM)
+		span.SetAttr("counted", e.Pass.Counted)
+		span.SetAttr("frequent", e.Pass.Frequent)
+		span.End()
+	})
+	res, err := ossm.MineAt(req.Miner, d, minCount, ossm.MineOptions{
+		Filter:     filter,
+		MaxLen:     req.MaxLen,
+		Workers:    req.Workers,
+		Params:     req.Params,
+		Instrument: instr,
+		RequestID:  obs.RequestIDFrom(runCtx),
+	})
+	if err != nil {
+		return mined{err: err}
+	}
+	out := mined{
+		resp: MineResponse{NumFrequent: res.NumFrequent(), Pruned: useOSSM, Telemetry: res.Stats.Telemetry},
+		all:  res.All(),
+	}
+	for _, l := range res.Levels {
+		out.resp.Levels = append(out.resp.Levels, MineLevel{
+			K: l.K, Frequent: len(l.Frequent),
+			Generated: l.Stats.Generated, Pruned: l.Stats.Pruned, Counted: l.Stats.Counted,
+		})
+	}
+	return out
+}
+
+// mineScatter runs the request scatter-gather over the fleet. The answer
+// is bit-identical to a single-node run — Partition's local-frequent
+// union is a superset of the global answer and the recount is exact —
+// but the response reports fleet shape instead of level-by-level
+// telemetry.
+func mineScatter(ctx context.Context, fleet *shard.Fleet, req MineRequest, minCount int64) mined {
+	res, err := fleet.Mine(ctx, shard.MineConfig{Miner: req.Miner, MinCount: minCount, MaxLen: req.MaxLen})
+	if err != nil {
+		return mined{err: err}
+	}
+	return mined{
+		resp: MineResponse{NumFrequent: len(res.Frequent), Shards: res.Shards, Candidates: res.Candidates},
+		all:  res.Frequent,
+	}
 }
 
 // markMineStart records an instantaneous "mine-start" event span under
@@ -909,67 +904,6 @@ func (s *Server) markMineStart(runCtx context.Context, miner string, minCount in
 	ev.SetAttr("miner", miner)
 	ev.SetAttr("min_count", minCount)
 	ev.End()
-}
-
-// mineSharded runs one /v1/mine request scatter-gather over the fleet
-// (the caller already holds a mining admission slot). The answer is
-// bit-identical to a single-node run — Partition's local-frequent union
-// is a superset of the global answer and the recount is exact — but the
-// response reports fleet shape instead of level-by-level telemetry.
-func (s *Server) mineSharded(ctx context.Context, w http.ResponseWriter, fleet *shard.Fleet, req MineRequest, minCount int64) {
-	runCtx, run := s.obs.tracer.Start(ctx, "mine-run")
-	run.SetAttr("miner", req.Miner)
-	run.SetAttr("min_count", minCount)
-	run.SetAttr("shards", fleet.NumShards())
-	s.markMineStart(runCtx, req.Miner, minCount)
-	start := time.Now()
-	res, err := fleet.Mine(runCtx, shard.MineConfig{Miner: req.Miner, MinCount: minCount, MaxLen: req.MaxLen})
-	if err != nil {
-		if ctx.Err() != nil {
-			run.SetAttr("outcome", "deadline")
-			run.End()
-			s.writeErr(w, http.StatusGatewayTimeout, "mining exceeded the request deadline")
-			return
-		}
-		run.SetAttr("outcome", "error")
-		run.End()
-		code := http.StatusInternalServerError
-		if errors.Is(err, shard.ErrOverloaded) || errors.Is(err, shard.ErrUnavailable) {
-			code = http.StatusServiceUnavailable
-		}
-		s.writeErr(w, code, "mining: %v", err)
-		return
-	}
-	s.mines.Inc()
-	s.mineWall.Observe(time.Since(start))
-	s.obs.mineRuns.With(req.Miner).Inc()
-	run.SetAttr("outcome", "ok")
-	run.SetAttr("frequent", len(res.Frequent))
-	run.End()
-
-	resp := MineResponse{
-		Index:       req.Index,
-		Miner:       req.Miner,
-		MinCount:    minCount,
-		NumFrequent: len(res.Frequent),
-		Shards:      res.Shards,
-		Candidates:  res.Candidates,
-	}
-	top := req.Top
-	if top == 0 {
-		top = 20
-	}
-	if top > 0 {
-		// res.Frequent is already sorted by descending support, then
-		// itemset order — the same order the single-node path reports.
-		if top > len(res.Frequent) {
-			top = len(res.Frequent)
-		}
-		for _, c := range res.Frequent[:top] {
-			resp.Top = append(resp.Top, MineItemset{Itemset: c.Items, Support: c.Count})
-		}
-	}
-	s.writeJSON(w, http.StatusOK, resp)
 }
 
 // Metrics is the GET /v1/metrics report: service counters (built on the
@@ -989,7 +923,6 @@ type Metrics struct {
 	MineCounted   int64         `json:"mine_counted"`
 	MineEarlyExit int64         `json:"mine_early_exit"`
 	MineAbandoned int64         `json:"mine_abandoned"`
-	Workers       int           `json:"workers"`
 	MineSlots     int           `json:"mine_slots"`
 	Cache         CacheStats    `json:"cache"`
 	Indexes       []IndexInfo   `json:"indexes"`
@@ -1011,7 +944,6 @@ func (s *Server) MetricsSnapshot() Metrics {
 		MineCounted:   s.mineCounted.Load(),
 		MineEarlyExit: s.mineEarlyExit.Load(),
 		MineAbandoned: s.mineAbandoned.Load(),
-		Workers:       s.workers,
 		MineSlots:     s.cfg.MineConcurrency,
 		Cache:         s.cache.stats(),
 		Indexes:       s.indexInfos(),

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"math/rand"
 	"net"
 	"net/http"
@@ -17,6 +18,7 @@ import (
 	ossm "github.com/ossm-mining/ossm"
 	"github.com/ossm-mining/ossm/internal/dataset"
 	"github.com/ossm-mining/ossm/internal/mining"
+	"github.com/ossm-mining/ossm/internal/obs"
 )
 
 // fixture builds a deterministic dataset and an index over it.
@@ -170,7 +172,7 @@ func TestUbsupSingleAndCached(t *testing.T) {
 }
 
 func TestUbsupBatch(t *testing.T) {
-	_, ts, _, ix := newTestServer(t, Config{Workers: 4})
+	_, ts, _, ix := newTestServer(t, Config{})
 	sets := [][]ossm.Item{{1}, {2, 3}, {4, 5, 6}, {1, 2, 3, 4}}
 	payload, _ := json.Marshal(map[string]any{"index": "retail", "itemsets": sets})
 	code, out := postJSON(t, ts.Client(), ts.URL+"/v1/ubsup", string(payload))
@@ -308,6 +310,10 @@ func TestMineErrors(t *testing.T) {
 		{"no dataset", `{"index":"indexonly","support":0.1}`, http.StatusBadRequest},
 		{"no threshold", `{"index":"retail"}`, http.StatusBadRequest},
 		{"two thresholds", `{"index":"retail","support":0.1,"min_count":5}`, http.StatusBadRequest},
+		{"negative max_len", `{"index":"retail","min_count":20,"max_len":-1}`, http.StatusBadRequest},
+		{"dhp buckets past the ceiling", `{"index":"retail","miner":"dhp","support":0.1,"params":{"buckets":70368744177664}}`, http.StatusBadRequest},
+		{"negative dhp buckets", `{"index":"retail","miner":"dhp","support":0.1,"params":{"buckets":-1}}`, http.StatusBadRequest},
+		{"negative partitions", `{"index":"retail","miner":"partition","support":0.1,"params":{"partitions":-2}}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -316,6 +322,76 @@ func TestMineErrors(t *testing.T) {
 				t.Fatalf("status = %d, want %d (%v)", code, tc.code, out)
 			}
 		})
+	}
+	// The server keeps answering after every rejected run.
+	if code, out := postJSON(t, ts.Client(), ts.URL+"/v1/mine", `{"index":"retail","miner":"dhp","support":0.1,"params":{"buckets":1024}}`); code != http.StatusOK {
+		t.Fatalf("valid mine after bad requests = %d %v", code, out)
+	}
+}
+
+// panickyName is a test-only miner that panics mid-run.
+const panickyName = "panicky-test-miner"
+
+func init() {
+	mining.Register(panickyName, func(*dataset.Dataset, int64, mining.Options) (*mining.Result, error) {
+		panic("panicky miner")
+	})
+}
+
+// TestMinePanicContained checks a panicking mining run answers 500 with
+// the mine-run span ended as outcome "panic" and an error log line
+// carrying the request id, and that the server keeps serving.
+func TestMinePanicContained(t *testing.T) {
+	var logs syncBuffer
+	s, ts, _, _ := newTestServer(t, Config{Logger: obs.NewLogger(&logs, slog.LevelInfo)})
+	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/mine", strings.NewReader(`{"index":"retail","miner":"`+panickyName+`","support":0.1}`))
+	req.Header.Set("X-Request-Id", "panic-req")
+	resp, err := ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("panicking mine = %d, want 500", resp.StatusCode)
+	}
+	var run *obs.SpanRecord
+	for _, rec := range s.obs.tracer.Snapshot() {
+		if rec.Name == "mine-run" {
+			run = &rec
+		}
+	}
+	if run == nil || run.Attrs["outcome"] != "panic" {
+		t.Fatalf("mine-run span = %+v, want outcome panic", run)
+	}
+	if !strings.Contains(logs.String(), `"msg":"panic"`) || !strings.Contains(logs.String(), `"request_id":"panic-req"`) {
+		t.Fatalf("no panic log line with the request id:\n%s", logs.String())
+	}
+	if code, out := postJSON(t, ts.Client(), ts.URL+"/v1/mine", `{"index":"retail","support":0.1}`); code != http.StatusOK {
+		t.Fatalf("mine after a panic = %d %v", code, out)
+	}
+}
+
+// TestMiddlewareRecoversPanic checks a handler panic on the request
+// goroutine becomes a 500 counted in ossm_http_panics_total{route}.
+func TestMiddlewareRecoversPanic(t *testing.T) {
+	s := New(Config{})
+	ts := httptest.NewServer(s.middleware(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
+		panic("handler panic")
+	})))
+	t.Cleanup(ts.Close)
+	code, out := postJSON(t, ts.Client(), ts.URL+"/v1/ubsup", `{}`)
+	if code != http.StatusInternalServerError || out["error"] == nil {
+		t.Fatalf("panicking handler = %d %v, want a 500 error body", code, out)
+	}
+	var b strings.Builder
+	if err := s.obs.metrics.WriteExposition(&b, false); err != nil {
+		t.Fatal(err)
+	}
+	if want := `ossm_http_panics_total{route="/v1/ubsup"} 1`; !strings.Contains(b.String(), want) {
+		t.Fatalf("exposition lacks %q", want)
+	}
+	if want := `ossm_http_requests_total{route="/v1/ubsup",status="500"} 1`; !strings.Contains(b.String(), want) {
+		t.Fatalf("exposition lacks %q", want)
 	}
 }
 
@@ -464,6 +540,13 @@ func TestRegistryContracts(t *testing.T) {
 	if err := r.Swap("a", nil); err == nil {
 		t.Error("Swap with nil index accepted")
 	}
+	narrow, err := ossm.Build(dataset.MustFromTransactions(3, [][]dataset.Item{{0, 1}, {2}}), ossm.BuildOptions{Segments: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Swap("a", narrow); err == nil {
+		t.Error("Swap to a different item domain accepted")
+	}
 	if err := r.AddDataset("a", d); err != nil {
 		t.Fatal(err)
 	}
@@ -491,7 +574,7 @@ func TestRegistryContracts(t *testing.T) {
 // the whole serving path; every bound answered must match one of the
 // index generations ever registered.
 func TestConcurrentQueriesAndSwaps(t *testing.T) {
-	s, ts, d, ix := newTestServer(t, Config{Workers: 4, CacheSize: 64})
+	s, ts, d, ix := newTestServer(t, Config{CacheSize: 64})
 
 	// Build the swap generations: streaming appender snapshots over
 	// growing prefixes of a second dataset.

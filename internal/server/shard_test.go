@@ -1,11 +1,14 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -250,5 +253,108 @@ func TestShardedHedgeMetrics(t *testing.T) {
 		if !strings.Contains(text, needle) {
 			t.Fatalf("metrics exposition lacks %q:\n%s", needle, text)
 		}
+	}
+}
+
+// TestUnshardedIndexesGolden pins the byte-exact GET /v1/indexes body of
+// an unsharded server: the one-shard fleet that answers its queries must
+// not leak topology fields into the rows. The entries cover an index with
+// a dataset (queried, so its fleet exists, then swapped), an index alone
+// and a dataset alone.
+func TestUnshardedIndexesGolden(t *testing.T) {
+	s, ts, _, ix := newTestServer(t, Config{})
+	_, ixOnly := fixture(t, 300, 11)
+	if err := s.AddIndex("indexonly", ixOnly); err != nil {
+		t.Fatal(err)
+	}
+	dOnly, _ := fixture(t, 200, 3)
+	if err := s.AddDataset("dataonly", dOnly); err != nil {
+		t.Fatal(err)
+	}
+	if code, out := postJSON(t, ts.Client(), ts.URL+"/v1/ubsup", `{"index":"retail","itemsets":[[1,2],[3]]}`); code != http.StatusOK {
+		t.Fatalf("ubsup = %d %v", code, out)
+	}
+	if err := s.Swap("retail", ix); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := ts.Client().Get(ts.URL + "/v1/indexes")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join("testdata", "indexes_unsharded.golden")
+	if *update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Errorf("unsharded /v1/indexes drifted from %s\n--- got ---\n%s--- want ---\n%s", path, got, want)
+	}
+}
+
+// TestUnshardedFleetz checks an unsharded server's /v1/fleetz lists the
+// one-shard fleet that answers its queries, covering the whole index.
+func TestUnshardedFleetz(t *testing.T) {
+	_, ts, _, ix := newTestServer(t, Config{})
+	if code, out := postJSON(t, ts.Client(), ts.URL+"/v1/ubsup", `{"index":"retail","itemset":[1,2]}`); code != http.StatusOK {
+		t.Fatalf("ubsup = %d %v", code, out)
+	}
+	resp, err := ts.Client().Get(ts.URL + "/v1/fleetz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var fz FleetzResponse
+	if err := json.NewDecoder(resp.Body).Decode(&fz); err != nil {
+		t.Fatal(err)
+	}
+	if fz.Status != "ok" || len(fz.Fleets) != 1 || fz.Fleets[0].Index != "retail" {
+		t.Fatalf("fleetz = %+v, want one healthy fleet for retail", fz)
+	}
+	sh := fz.Fleets[0].Shards
+	if len(sh) != 1 || sh[0].Segments.Lo != 0 || sh[0].Segments.Hi != ix.NumSegments() || sh[0].Requests != 1 {
+		t.Fatalf("shards = %+v, want one shard over [0,%d) with 1 request", sh, ix.NumSegments())
+	}
+}
+
+// TestStaleRequestKeepsFleetForward checks a request that looked up an
+// index before a Swap cannot swap that index back into the fleet: the
+// fleet only installs what the registry holds, so a concurrent request
+// that looked up the newer index never computes, and caches under the
+// newer version, a bound from the older one.
+func TestStaleRequestKeepsFleetForward(t *testing.T) {
+	_, ix1 := fixture(t, 400, 1)
+	_, ix2 := fixture(t, 800, 2)
+	set := ossm.NewItemset(1, 2)
+	if ix1.UpperBound(set) == ix2.UpperBound(set) {
+		t.Fatal("fixture indexes agree on the probe; pick another")
+	}
+	s := New(Config{})
+	if err := s.AddIndex("e", ix1); err != nil {
+		t.Fatal(err)
+	}
+	_, v1, _ := s.reg.Lookup("e")
+	if err := s.Swap("e", ix2); err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.boundBatch(context.Background(), "e", ix1, v1, [][]ossm.Item{set}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := ix2.UpperBound(set); res[0].Bound != want {
+		t.Fatalf("stale request bound = %d, want the current index's %d", res[0].Bound, want)
+	}
+	if s.fleets["e"].ix != ix2 {
+		t.Fatal("a stale request installed the swapped-out index into the fleet")
 	}
 }

@@ -282,6 +282,17 @@ func TestChaosSoak(t *testing.T) {
 		f.SetErrorRate(0)
 		f.SetLatency(0, 0)
 	}
+	// Soak load on a small machine can time calls out after the heal and
+	// re-trip a breaker; the verification needs every shard admitting
+	// calls again, so it waits out any open breaker's cooldown first.
+	waitFor(t, "every gen-2 breaker to leave open", 5*time.Second, func() bool {
+		for _, tr := range gen2 {
+			if tr.(*Client).BreakerState() == BreakerOpen {
+				return false
+			}
+		}
+		return true
+	})
 	const verifyRounds = 5
 	var baseline []int64
 	for _, wt := range rf.tracers {

@@ -113,7 +113,9 @@ func (w *Worker) Handler() http.Handler {
 // parents under the caller's RPC span, reports the measured serve time
 // in the response headers, and emits one access-log line whose
 // request_id matches the coordinator's — the join key between the two
-// processes' logs.
+// processes' logs. A handler panic is recovered into a 500 with the serve
+// span marked outcome "panic" and an error log line; the coordinator's
+// client sees an ordinary failed call.
 func (w *Worker) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -131,7 +133,14 @@ func (w *Worker) instrument(next http.Handler) http.Handler {
 		span.SetAttr("request_id", reqID)
 
 		sw := &serveWriter{ResponseWriter: rw, start: start}
-		next.ServeHTTP(sw, r.WithContext(ctx))
+		func() {
+			defer obs.Recover(ctx, w.logger, span, r.URL.Path, func(v any) {
+				if sw.status == 0 {
+					writeWireErr(sw, http.StatusInternalServerError, "worker panic: %v", v)
+				}
+			})
+			next.ServeHTTP(sw, r.WithContext(ctx))
+		}()
 
 		status := sw.status
 		if status == 0 {

@@ -4,11 +4,14 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"log/slog"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
 	ossm "github.com/ossm-mining/ossm"
+	"github.com/ossm-mining/ossm/internal/obs"
 	"github.com/ossm-mining/ossm/internal/shard"
 )
 
@@ -79,5 +82,38 @@ func TestClientWorker400LeavesBreakerClosed(t *testing.T) {
 	}
 	if err := c.PartialBounds(context.Background(), []ossm.Itemset{ossm.NewItemset(3, 5)}, out); err != nil {
 		t.Fatalf("valid PartialBounds after bad requests: %v", err)
+	}
+}
+
+// TestWorkerRecoversPanic checks the worker envelope turns a handler
+// panic into a 500 with an error body, ends the serve span as outcome
+// "panic" and logs the panic with the caller's request id.
+func TestWorkerRecoversPanic(t *testing.T) {
+	var logs strings.Builder
+	tracer := obs.NewTracer(16)
+	w := NewWorker()
+	w.SetObs(obs.NewLogger(&logs, slog.LevelInfo), tracer)
+	ts := httptest.NewServer(w.instrument(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
+		panic("worker handler panic")
+	})))
+	defer ts.Close()
+	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/shard/v1/bounds", strings.NewReader(`{}`))
+	req.Header.Set(requestIDHeader, "worker-panic")
+	resp, err := ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var eb errorBody
+	decErr := json.NewDecoder(resp.Body).Decode(&eb)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError || decErr != nil || !strings.Contains(eb.Error, "panic") {
+		t.Fatalf("status %d body %+v (%v), want a 500 panic error", resp.StatusCode, eb, decErr)
+	}
+	spans := tracer.Snapshot()
+	if len(spans) != 1 || spans[0].Attrs["outcome"] != "panic" || spans[0].Attrs["status"] != http.StatusInternalServerError {
+		t.Fatalf("serve spans = %+v, want one ended with outcome panic and status 500", spans)
+	}
+	if !strings.Contains(logs.String(), `"request_id":"worker-panic"`) || !strings.Contains(logs.String(), `"msg":"panic"`) {
+		t.Fatalf("no panic log line with the request id:\n%s", logs.String())
 	}
 }

@@ -159,17 +159,20 @@ type Shard struct {
 // non-nil the dataset's transactions are partitioned evenly across the
 // same shards (the mining substrate; the transaction split is
 // independent of the segment split — support counting is a sum over any
-// partition of the transactions). maxInflight caps concurrent partial
-// calls per shard (0 = unlimited).
+// partition of the transactions); a shard whose slice is all of d holds
+// d itself, not a copy. maxInflight caps concurrent partial calls per
+// shard (0 = unlimited).
 func NewLocalShards(ix *ossm.Index, d *ossm.Dataset, n, maxInflight int) ([]*Shard, error) {
 	if ix == nil {
 		return nil, fmt.Errorf("shard: NewLocalShards requires an index")
 	}
 	ranges := PartitionSegments(ix.NumSegments(), n)
 	shards := make([]*Shard, len(ranges))
+	// Fewer transactions than shards leaves the trailing shards without
+	// a slice (their zero Range).
 	txRanges := make([]Range, len(ranges))
 	if d != nil {
-		txRanges = PartitionSegments(d.NumTx(), len(ranges))
+		copy(txRanges, PartitionSegments(d.NumTx(), len(ranges)))
 	}
 	for i, rng := range ranges {
 		view, err := ix.SegmentRange(rng.Lo, rng.Hi)
@@ -177,7 +180,12 @@ func NewLocalShards(ix *ossm.Index, d *ossm.Dataset, n, maxInflight int) ([]*Sha
 			return nil, err
 		}
 		s := &Shard{id: i, rng: rng, ix: view, maxInflight: int64(maxInflight)}
-		if d != nil && txRanges[i].Len() > 0 {
+		switch {
+		case d != nil && txRanges[i] == Range{Lo: 0, Hi: d.NumTx()}:
+			// One shard holds every transaction: share d rather than
+			// copy it, as SegmentRange shares the whole map.
+			s.d = d
+		case d != nil && txRanges[i].Len() > 0:
 			s.d = d.Slice(txRanges[i].Lo, txRanges[i].Hi)
 		}
 		shards[i] = s

@@ -203,6 +203,45 @@ func TestFleetMineMaxLen(t *testing.T) {
 	}
 }
 
+// TestOneShardSharesDataset checks a one-shard fleet holds the entry's
+// dataset itself rather than a copy (the whole transaction range), while
+// wider fleets still slice, and that a dataset with fewer transactions
+// than shards leaves the trailing shards without a slice.
+func TestOneShardSharesDataset(t *testing.T) {
+	d, err := ossm.GenerateSkewed(ossm.DefaultSkewed(300, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := ossm.Build(d, ossm.BuildOptions{Segments: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := NewLocalShards(ix, d, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(one) != 1 || one[0].d != d {
+		t.Fatalf("one-shard fleet copied the dataset (%d shards)", len(one))
+	}
+	two, err := NewLocalShards(ix, d, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if two[0].d == d || two[0].d.NumTx()+two[1].d.NumTx() != d.NumTx() {
+		t.Fatal("two-shard fleet did not slice the dataset")
+	}
+	tiny := d.Slice(0, 2)
+	wide, err := NewLocalShards(ix, tiny, 4, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range wide {
+		if got, want := s.d != nil, i < 2; got != want {
+			t.Errorf("shard %d of 4 over 2 transactions: has slice %v, want %v", i, got, want)
+		}
+	}
+}
+
 // TestShardAdmissionCap drives a shard past its in-flight cap and checks
 // both the typed error and the outcome callback label.
 func TestShardAdmissionCap(t *testing.T) {
