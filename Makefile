@@ -89,6 +89,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz FuzzAppenderSnapshot        -fuzztime 10s .
 	$(GO) test -run=NONE -fuzz FuzzWALReplay               -fuzztime 10s ./internal/wal
 	$(GO) test -run=NONE -fuzz FuzzServeWire               -fuzztime 10s ./internal/server
+	$(GO) test -run=NONE -fuzz FuzzPairCounter             -fuzztime 10s ./internal/mining
 
 # Kernel-speedup regression gate: a reduced two-depth sweep of the
 # bound-kernel microbenchmark must clear its per-regime speedup floors

@@ -206,7 +206,7 @@ func BenchmarkAblationMemory(b *testing.B) {
 }
 
 // BenchmarkAblationC2Method reproduces the counting-structure ablation:
-// hash tree (candidate-bound) versus triangular array
+// pair table (candidate-proportional) versus triangular array
 // (candidate-insensitive) under OSSM pruning.
 func BenchmarkAblationC2Method(b *testing.B) {
 	cfg := benchConfig()
@@ -215,7 +215,7 @@ func BenchmarkAblationC2Method(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(float64(r.HashPlain)/float64(r.HashOSSM), "speedup-hashtree")
+		b.ReportMetric(float64(r.PairPlain)/float64(r.PairOSSM), "speedup-pairtable")
 		b.ReportMetric(float64(r.TriPlain)/float64(r.TriOSSM), "speedup-triangular")
 	}
 }

@@ -22,9 +22,10 @@ func init() {
 type CountMethod int
 
 const (
-	// CountHashTree counts every pass with the hash tree. Counting work
-	// scales with the number of surviving candidates, which is what makes
-	// OSSM pruning pay off — the setting of the paper's experiments.
+	// CountHashTree counts with mining.CountParallel: the open-addressed
+	// pair table at pass 2 and the hash tree at every later pass. Counting
+	// work scales with the number of surviving candidates, which is what
+	// makes OSSM pruning pay off — the setting of the paper's experiments.
 	CountHashTree CountMethod = iota
 	// CountTriangular counts the second pass with a dense triangular
 	// array over frequent items (an ablation: per-transaction cost is
@@ -78,17 +79,21 @@ func Mine(d *dataset.Dataset, minCount int64, opts Options) (*mining.Result, err
 	for _, c := range f1 {
 		frequentItem[c.Items[0]] = true
 	}
+	// Projections share one backing slice sized for the whole dataset, so
+	// appending never reallocates and every kept slice stays valid.
 	txs := make([]dataset.Itemset, 0, d.NumTx())
+	backing := make([]dataset.Item, 0, d.TotalItems())
 	for i := 0; i < d.NumTx(); i++ {
-		tx := d.Tx(i)
-		var kept dataset.Itemset
-		for _, it := range tx {
+		lo := len(backing)
+		for _, it := range d.Tx(i) {
 			if frequentItem[it] {
-				kept = append(kept, it)
+				backing = append(backing, it)
 			}
 		}
-		if len(kept) >= 2 {
-			txs = append(txs, kept)
+		if len(backing)-lo >= 2 {
+			txs = append(txs, backing[lo:len(backing):len(backing)])
+		} else {
+			backing = backing[:lo]
 		}
 	}
 
@@ -98,7 +103,7 @@ func Mine(d *dataset.Dataset, minCount int64, opts Options) (*mining.Result, err
 	if opts.C2Method == CountTriangular {
 		l2 = passTwoTriangular(txs, f1, minCount, opts.Pruner)
 	} else {
-		l2 = passTwoHashTree(txs, f1, minCount, opts.Pruner, pool, opts.Instrument)
+		l2 = passTwoCounted(txs, f1, minCount, opts.Pruner, pool, opts.Instrument)
 	}
 	l2.Stats.Elapsed = time.Since(passStart)
 	res.Levels = append(res.Levels, l2)
@@ -149,10 +154,10 @@ func Mine(d *dataset.Dataset, minCount int64, opts Options) (*mining.Result, err
 	return res, nil
 }
 
-// passTwoHashTree generates all pairs of frequent items, filters them
+// passTwoCounted generates all pairs of frequent items, filters them
 // through the pair-specialized batch bound kernel, and counts the
-// survivors with a hash tree.
-func passTwoHashTree(txs []dataset.Itemset, f1 []mining.Counted, minCount int64, pruner core.Filter, workers int, instr *mining.Instrumentation) mining.LevelResult {
+// survivors with mining.CountParallel (the pair table).
+func passTwoCounted(txs []dataset.Itemset, f1 []mining.Counted, minCount int64, pruner core.Filter, workers int, instr *mining.Instrumentation) mining.LevelResult {
 	stats := mining.PassStats{K: 2, Generated: len(f1) * (len(f1) - 1) / 2}
 	items := frequentItems(f1)
 	kd := mining.KernelDeltaFor(pruner)
@@ -192,12 +197,13 @@ func passTwoHashTree(txs []dataset.Itemset, f1 []mining.Counted, minCount int64,
 func passTwoTriangular(txs []dataset.Itemset, f1 []mining.Counted, minCount int64, pruner core.Filter) mining.LevelResult {
 	stats := mining.PassStats{K: 2, Generated: len(f1) * (len(f1) - 1) / 2}
 	n := len(f1)
-	rank := make(map[dataset.Item]int, n)
-	for i, c := range f1 {
-		rank[c.Items[0]] = i
+	items := frequentItems(f1)
+	// txs hold only frequent items, so every item is in range.
+	rank := make([]int32, int(items[n-1])+1)
+	for i, it := range items {
+		rank[it] = int32(i)
 	}
 	// allowed[i*n+j] (i<j) marks pairs that survived the OSSM.
-	items := frequentItems(f1)
 	kd := mining.KernelDeltaFor(pruner)
 	dec := core.AdmitPairsAmong(pruner, items, nil)
 	allowed := make([]bool, n*n)
@@ -218,9 +224,9 @@ func passTwoTriangular(txs []dataset.Itemset, f1 []mining.Counted, minCount int6
 	counts := make([]int64, n*n)
 	for _, tx := range txs {
 		for a := 0; a < len(tx); a++ {
-			ra := rank[tx[a]]
+			ra := int(rank[tx[a]])
 			for b := a + 1; b < len(tx); b++ {
-				rb := rank[tx[b]]
+				rb := int(rank[tx[b]])
 				i, j := ra, rb
 				if i > j {
 					i, j = j, i

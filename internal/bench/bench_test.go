@@ -295,7 +295,7 @@ func TestRunC2Method(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.HashPlain <= 0 || r.HashOSSM <= 0 || r.TriPlain <= 0 || r.TriOSSM <= 0 {
+	if r.PairPlain <= 0 || r.PairOSSM <= 0 || r.TriPlain <= 0 || r.TriOSSM <= 0 {
 		t.Error("missing timings")
 	}
 	var buf bytes.Buffer

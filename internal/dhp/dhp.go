@@ -248,12 +248,12 @@ type trimResult struct {
 // could otherwise never support a 3-itemset).
 //
 // The scan shards transactions over the worker pool: one shared,
-// read-only hash tree serves every worker, each accumulating candidate
-// counts, trimmed transactions, a partial H3 and trim counters
-// privately; shards merge in worker order, so the result is identical
+// read-only pair counter (mining.NewCounter) serves every worker, each
+// accumulating candidate counts, trimmed transactions, a partial H3 and
+// trim counters privately; shards merge in worker order, so the result is identical
 // to the serial scan.
 func trimPass(d *dataset.Dataset, cands []*mining.Candidate, frequentItem []bool, buckets, pool int, extra *Stats, instr *mining.Instrumentation) trimResult {
-	tree := mining.NewHashTree(cands, 2)
+	counter := mining.NewCounter(cands, 2)
 	type shard struct {
 		state        *mining.CountState
 		h3           []int64
@@ -277,7 +277,7 @@ func trimPass(d *dataset.Dataset, cands []*mining.Candidate, frequentItem []bool
 			}
 		}()
 		sh := &shards[w]
-		sh.state = tree.AcquireState()
+		sh.state = counter.AcquireState()
 		sh.h3 = make([]int64, buckets)
 		participation := make(map[dataset.Item]int)
 		for i := lo; i < hi; i++ {
@@ -297,7 +297,7 @@ func trimPass(d *dataset.Dataset, cands []*mining.Candidate, frequentItem []bool
 			for k := range participation {
 				delete(participation, k)
 			}
-			tree.CountTransactionIntoFunc(sh.state, kept, i, func(c *mining.Candidate) {
+			counter.CountTransactionIntoFunc(sh.state, kept, i, func(c *mining.Candidate) {
 				participation[c.Items[0]]++
 				participation[c.Items[1]]++
 			})
@@ -329,7 +329,7 @@ func trimPass(d *dataset.Dataset, cands []*mining.Candidate, frequentItem []bool
 		if sh.state == nil {
 			continue
 		}
-		tree.Merge(cands, sh.state)
+		counter.Merge(cands, sh.state)
 		mining.ReleaseState(sh.state)
 		sh.state = nil
 		for b, c := range sh.h3 {

@@ -7,7 +7,7 @@ import (
 )
 
 // Candidate is a candidate itemset with its running support count,
-// indexable by a HashTree. lastTID guards against counting the same
+// counted by a Counter. lastTID guards against counting the same
 // transaction twice when several hash paths reach the same leaf; id is
 // the candidate's position in the tree's build order (used by the
 // shared-tree parallel counting path).
@@ -124,11 +124,12 @@ func (t *HashTree) count(n *htNode, tx dataset.Itemset, depth, start, tid int, o
 }
 
 // CountState is per-worker counting state for a shared, read-only
-// HashTree: several goroutines can traverse one tree concurrently, each
-// accumulating into its own state, and the states merge afterwards.
+// Counter: several goroutines can count with one counter concurrently,
+// each accumulating into its own state, and the states merge afterwards.
 type CountState struct {
 	counts  []int64
 	lastTID []int
+	proj    []uint32 // the pair table's projection scratch
 }
 
 // NewState allocates counting state sized to the tree.
@@ -148,20 +149,27 @@ func (t *HashTree) NewState() *CountState {
 // slots on every pass.
 var statePool = sync.Pool{New: func() any { return new(CountState) }}
 
+// acquireState returns pooled counting state with n zeroed counts (and n
+// lastTID slots, left for the hash tree to reset).
+func acquireState(n int) *CountState {
+	st := statePool.Get().(*CountState)
+	if cap(st.counts) < n {
+		st.counts = make([]int64, n)
+		st.lastTID = make([]int, n)
+	}
+	st.counts = st.counts[:n]
+	st.lastTID = st.lastTID[:n]
+	for i := range st.counts {
+		st.counts[i] = 0
+	}
+	return st
+}
+
 // AcquireState returns counting state sized to the tree, reusing pooled
 // scratch when available. Pair with ReleaseState once the state has been
 // merged.
 func (t *HashTree) AcquireState() *CountState {
-	st := statePool.Get().(*CountState)
-	if cap(st.counts) < t.numCands {
-		st.counts = make([]int64, t.numCands)
-		st.lastTID = make([]int, t.numCands)
-	}
-	st.counts = st.counts[:t.numCands]
-	st.lastTID = st.lastTID[:t.numCands]
-	for i := range st.counts {
-		st.counts[i] = 0
-	}
+	st := acquireState(t.numCands)
 	for i := range st.lastTID {
 		st.lastTID[i] = -1
 	}
@@ -176,17 +184,10 @@ func ReleaseState(st *CountState) {
 	}
 }
 
-// CountTransactionInto is CountTransaction accumulating into st instead
-// of the candidates themselves; the tree is not mutated, so concurrent
-// calls with distinct states are safe.
-func (t *HashTree) CountTransactionInto(st *CountState, tx dataset.Itemset, tid int) {
-	t.CountTransactionIntoFunc(st, tx, tid, nil)
-}
-
-// CountTransactionIntoFunc is CountTransactionInto with a per-match
-// callback, the state-based counterpart of CountTransaction's onMatch
-// (DHP's parallel trim pass uses it to track item participation per
-// worker).
+// CountTransactionIntoFunc is CountTransaction accumulating into st
+// instead of the candidates themselves; the tree is not mutated, so
+// concurrent calls with distinct states are safe. onMatch, if non-nil,
+// is invoked once per contained candidate.
 func (t *HashTree) CountTransactionIntoFunc(st *CountState, tx dataset.Itemset, tid int, onMatch func(*Candidate)) {
 	if len(tx) < t.size {
 		return
@@ -216,7 +217,9 @@ func (t *HashTree) countInto(st *CountState, n *htNode, tx dataset.Itemset, dept
 
 // Merge adds the state's counts into the candidates (in tree build
 // order). Call once per state after all counting goroutines finish.
-func (t *HashTree) Merge(cands []*Candidate, st *CountState) {
+func (t *HashTree) Merge(cands []*Candidate, st *CountState) { mergeState(cands, st) }
+
+func mergeState(cands []*Candidate, st *CountState) {
 	for i, c := range cands {
 		c.Count += st.counts[i]
 	}
